@@ -148,7 +148,29 @@ def dose_response_terms(
     dose = np.asarray(dose, dtype=float)
     if np.any(dose < 0):
         raise DomainError("doses must be non-negative")
+    return _dose_response_kernel(family, params, dose)
 
+
+def _libm_log(v):
+    """``math.log`` of a float, or of each entry of an array.
+
+    numpy's vectorised log rounds a few percent of values differently
+    from the C library's; scalar code has always used the latter, and
+    sampled draws depend on every bit.
+    """
+    if np.ndim(v) == 0:
+        return math.log(v)
+    return np.array([math.log(e) for e in v.ravel()]).reshape(np.shape(v))
+
+
+def _dose_response_kernel(
+    family: DoseResponse, params: Mapping[str, float | np.ndarray], dose: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """:func:`dose_response_terms` on validated input.
+
+    A parameter may also be a (B, 1) column, one value per row of a
+    stack; the results then have shape (B, len(dose)).
+    """
     if family is DoseResponse.LINEAR:
         a = params["alpha"]
         return a * dose, {"alpha": dose.copy()}
@@ -163,15 +185,16 @@ def dose_response_terms(
         return emax * frac, {"Emax": frac, "ED50": -emax * dose / den**2}
     # sigmoidal
     n = params["n"]
-    frac = np.zeros_like(dose)
-    dfrac_dn = np.zeros_like(dose)
     pos = dose > 0
-    t = n * (np.log(dose[pos]) - math.log(ed50))
+    t = n * (np.log(dose[pos]) - _libm_log(ed50))
     s = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))
-    frac[pos] = s
-    dfrac_dn[pos] = s * (1.0 - s) * (t / n)
-    dfrac_ded50 = np.zeros_like(dose)
-    dfrac_ded50[pos] = -s * (1.0 - s) * n / ed50
+    shape = np.shape(t)[:-1] + dose.shape
+    frac = np.zeros(shape)
+    dfrac_dn = np.zeros(shape)
+    frac[..., pos] = s
+    dfrac_dn[..., pos] = s * (1.0 - s) * (t / n)
+    dfrac_ded50 = np.zeros(shape)
+    dfrac_ded50[..., pos] = -s * (1.0 - s) * n / ed50
     return (
         emax * frac,
         {"Emax": frac, "ED50": emax * dfrac_ded50, "n": emax * dfrac_dn},

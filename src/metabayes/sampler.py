@@ -7,10 +7,17 @@ Metropolis correction on the Hamiltonian error.  Warmup adapts the step
 size by dual averaging toward a target acceptance rate and estimates a
 diagonal mass matrix in expanding memoryless windows.
 
+All chains of a fit step in lockstep: each leapfrog step evaluates the
+log density of every chain still integrating as one stack of points,
+(B, dim) -> (B,), (B, dim), and a chain whose trajectory has ended holds
+its state until the longest one finishes.  Everything else is per chain:
+random stream, initialization, step size, mass and trajectory lengths.
+
 Determinism: chain c of a run seeded with s draws from
 ``numpy.random.Generator(Philox(SeedSequence(entropy=s, spawn_key=(c,))))``,
-a counter-based generator, so results are reproducible bit for bit and
-independent of chain scheduling.
+a counter-based generator.  A stacked evaluation rounds each row exactly
+as a one-point evaluation would, so results are reproducible bit for bit
+and chain c's draws do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import io
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,8 +44,11 @@ _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 _TARGET_PATH_LENGTH = 1.5
+_LOG_HALF = math.log(0.5)
 
+# log density and gradient of one point (dim,), or of a stack (B, dim)
 ValueAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
+StackedValueAndGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class SamplingError(RuntimeError):
@@ -122,84 +131,167 @@ class PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
-# Leapfrog integration
+# Lockstep leapfrog integration
 # ---------------------------------------------------------------------------
-
-
-def leapfrog(
-    z: np.ndarray,
-    p: np.ndarray,
-    eps: float,
-    n_steps: int,
-    grad: Callable[[np.ndarray], np.ndarray],
-    mass_diag: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position/momentum after ``n_steps`` leapfrog steps.
-
-    ``grad`` is the gradient of the log density.  The integrator is
-    symplectic and time-reversible: integrating, negating the momentum
-    and integrating again returns the starting point.
-    """
-    if eps <= 0:
-        raise ValueError("step size must be > 0")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    mass_diag = np.asarray(mass_diag, dtype=float)
-    if np.any(mass_diag <= 0):
-        raise ValueError("mass_diag must be strictly positive")
-    z = np.array(z, dtype=float)
-    p = np.array(p, dtype=float)
-    p = p + 0.5 * eps * grad(z)
-    for step in range(n_steps):
-        z = z + eps * p / mass_diag
-        g = grad(z)
-        if step < n_steps - 1:
-            p = p + eps * g
-    p = p + 0.5 * eps * g
-    return z, p
 
 
 @dataclass
 class HMCState:
+    """Position, log density and gradient of one chain.
+
+    The lockstep functions hold a stack of chains in one state: ``z`` and
+    ``grad`` are then (B, dim) and ``logp`` is (B,).
+    """
+
     z: np.ndarray
-    logp: float
+    logp: float | np.ndarray
     grad: np.ndarray
 
 
-def _leapfrog_vg(
-    vg: ValueAndGrad,
+def _stacked(vg: ValueAndGrad) -> StackedValueAndGrad:
+    """A one-point target evaluated on a stack, row by row."""
+
+    def stacked(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = [vg(row) for row in z]
+        logp = np.array([lp for lp, _ in values], dtype=float)
+        return logp, np.array([g for _, g in values], dtype=float).reshape(z.shape)
+
+    return stacked
+
+
+def leapfrog(
+    vg: StackedValueAndGrad,
     state: HMCState,
     p: np.ndarray,
-    eps: float,
-    n_steps: int,
+    eps: np.ndarray,
+    n_steps: np.ndarray,
     mass_diag: np.ndarray,
-) -> tuple[HMCState, np.ndarray, bool]:
-    """Leapfrog reusing cached gradients; flags non-finite excursions."""
-    z, g = state.z, state.grad
-    logp = state.logp
-    p = p + 0.5 * eps * g
-    for step in range(n_steps):
-        z = z + eps * p / mass_diag
-        if not np.all(np.isfinite(z)):
-            return state, p, False
-        logp, g = vg(z)
-        if not math.isfinite(logp):
-            return state, p, False
-        if step < n_steps - 1:
-            p = p + eps * g
-    p = p + 0.5 * eps * g
-    if not np.all(np.isfinite(p)):
-        return state, p, False
-    return HMCState(z, logp, g), p, True
+) -> tuple[HMCState, np.ndarray, np.ndarray]:
+    """Leapfrog trajectories of a stack of chains, stepped in lockstep.
+
+    Chain b takes ``n_steps[b]`` steps of size ``eps[b]`` from
+    ``(state.z[b], p[b])`` under its diagonal mass ``mass_diag[b]``.  Each
+    step evaluates ``vg`` once, on the chains still integrating; the
+    gradient at the start comes from ``state``.  Returns the end states,
+    the end momenta and a flag per chain that is False where the position,
+    log density or momentum turned non-finite: that chain stopped there
+    and its returned state is its starting one.
+
+    The integrator is symplectic and time-reversible: integrating,
+    negating the momentum and integrating again returns the starting
+    point.
+    """
+    eps = np.asarray(eps, dtype=float)
+    n_steps = np.asarray(n_steps)
+    mass_diag = np.asarray(mass_diag, dtype=float)
+    if np.any(eps <= 0):
+        raise ValueError("step size must be > 0")
+    if np.any(n_steps < 1):
+        raise ValueError("n_steps must be >= 1")
+    if np.any(mass_diag <= 0):
+        raise ValueError("mass_diag must be strictly positive")
+    end = HMCState(state.z.copy(), np.array(state.logp, dtype=float), state.grad.copy())
+    p_end = np.array(p, dtype=float)
+    ok = np.ones(len(eps), dtype=bool)
+    # the chains still integrating, and their working arrays
+    live = np.arange(len(eps))
+    step_eps = eps[:, None]
+    half_eps = 0.5 * step_eps
+    z, mass, last = state.z, mass_diag, n_steps - 1
+    soonest = int(last.min())  # the first step at which some chain ends
+    p = p + half_eps * state.grad
+    for step in range(int(n_steps.max())):
+        z = z + step_eps * p / mass
+        finite = np.isfinite(z)
+        if not finite.all():
+            keep = finite.all(axis=1)
+            ok[live[~keep]] = False
+            live, z, p, mass, last, step_eps, half_eps = (
+                a[keep] for a in (live, z, p, mass, last, step_eps, half_eps)
+            )
+            if not live.size:
+                break
+        logp, grad = vg(z)
+        keep = np.isfinite(logp)
+        if step < soonest and keep.all():
+            p = p + step_eps * grad
+            continue
+        done = last == step
+        p = p + np.where(done[:, None], half_eps, step_eps) * grad
+        ok[live[~keep]] = False
+        finished = done & keep
+        finished[finished] = np.isfinite(p[finished]).all(axis=1)
+        ok[live[done & ~finished]] = False
+        idx = live[finished]
+        end.z[idx], end.logp[idx], end.grad[idx] = z[finished], logp[finished], grad[finished]
+        p_end[idx] = p[finished]
+        keep &= ~done
+        live, z, p, mass, last, step_eps, half_eps = (
+            a[keep] for a in (live, z, p, mass, last, step_eps, half_eps)
+        )
+        if live.size:
+            soonest = int(last.min())
+    return end, p_end, ok
 
 
-def _kinetic(p: np.ndarray, mass_diag: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        return float(0.5 * np.sum(p * p / mass_diag))
+def _kinetic(p: np.ndarray, mass_diag: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.add.reduce(p * p / mass_diag, axis=-1)
 
 
 def _num_steps_cap(eps: float, max_steps: int) -> int:
     return max(1, min(max_steps, int(round(_TARGET_PATH_LENGTH / eps))))
+
+
+def _momenta(rngs: Sequence[np.random.Generator], mass: np.ndarray) -> np.ndarray:
+    """One momentum draw per chain, from each chain's own stream."""
+    dim = mass.shape[1]
+    return np.array([rng.standard_normal(dim) for rng in rngs]) * np.sqrt(mass)
+
+
+def _transitions(
+    vg: StackedValueAndGrad,
+    state: HMCState,
+    eps: np.ndarray,
+    mass: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    max_leapfrog_steps: int,
+) -> tuple[HMCState, np.ndarray, np.ndarray]:
+    """One HMC transition of every chain of a stack, in lockstep.
+
+    Returns the new states, the acceptance statistics and the divergence
+    flags.  Each chain draws its momentum, its number of steps and its
+    acceptance uniform from its own stream, in that order.
+    """
+    p = _momenta(rngs, mass)
+    n_steps = np.array(
+        [
+            rng.integers(1, _num_steps_cap(e, max_leapfrog_steps) + 1)
+            for rng, e in zip(rngs, eps.tolist())
+        ]
+    )
+    h0 = -state.logp + _kinetic(p, mass)
+    proposal, p_new, ok = leapfrog(vg, state, p, eps, n_steps, mass)
+    with np.errstate(invalid="ignore"):
+        delta_h = (-proposal.logp + _kinetic(p_new, mass)) - h0
+    accept = np.zeros(len(rngs))
+    divergent = np.zeros(len(rngs), dtype=bool)
+    take = np.zeros(len(rngs), dtype=bool)
+    for c, rng in enumerate(rngs):
+        u = rng.random()  # drawn whatever the outcome, keeping streams aligned
+        dh = float(delta_h[c])
+        if not ok[c] or not math.isfinite(dh) or abs(dh) > DIVERGENCE_THRESHOLD:
+            divergent[c] = True
+            continue
+        # exp(-delta_h) overflows for energy drops beyond ~709.8
+        accept[c] = 1.0 if dh <= 0 else math.exp(-dh)
+        take[c] = u < accept[c]
+    new = HMCState(
+        np.where(take[:, None], proposal.z, state.z),
+        np.where(take, proposal.logp, state.logp),
+        np.where(take[:, None], proposal.grad, state.grad),
+    )
+    return new, accept, divergent
 
 
 def hmc_transition(
@@ -210,27 +302,23 @@ def hmc_transition(
     rng: np.random.Generator,
     max_leapfrog_steps: int = 1024,
 ) -> tuple[HMCState, float, bool]:
-    """One HMC transition: returns (state, acceptance statistic, divergent).
+    """One HMC transition of one chain: returns (state, acceptance statistic, divergent).
 
+    ``vg`` evaluates one point.  This is the one-chain case of the
+    lockstep transition that :func:`run_chains` steps all chains with.
     Divergent transitions (non-finite states, or |energy error| above
     ``DIVERGENCE_THRESHOLD``) are rejected and flagged, not raised.
     """
-    p = rng.standard_normal(state.z.shape[0]) * np.sqrt(mass_diag)
-    n_steps = int(rng.integers(1, _num_steps_cap(eps, max_leapfrog_steps) + 1))
-    h0 = -state.logp + _kinetic(p, mass_diag)
-    proposal, p_new, ok = _leapfrog_vg(vg, state, p, eps, n_steps, mass_diag)
-    if not ok:
-        rng.random()  # keep the RNG stream aligned across outcomes
-        return state, 0.0, True
-    h1 = -proposal.logp + _kinetic(p_new, mass_diag)
-    delta_h = h1 - h0
-    if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
-        rng.random()
-        return state, 0.0, True
-    accept_stat = min(1.0, math.exp(-delta_h))
-    if rng.random() < accept_stat:
-        return proposal, accept_stat, False
-    return state, accept_stat, False
+    stack = HMCState(state.z[None], np.array([state.logp], dtype=float), state.grad[None])
+    new, accept, divergent = _transitions(
+        _stacked(vg),
+        stack,
+        np.array([eps], dtype=float),
+        np.asarray(mass_diag, dtype=float)[None],
+        [rng],
+        max_leapfrog_steps,
+    )
+    return HMCState(new.z[0], float(new.logp[0]), new.grad[0]), float(accept[0]), bool(divergent[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +354,12 @@ class DualAveraging:
 
 
 class _Welford:
-    """Online mean/variance over the draws of one adaptation window."""
+    """Online mean/variance over the draws of one adaptation window, per chain."""
 
-    def __init__(self, dim: int):
+    def __init__(self, shape: tuple[int, ...]):
         self.n = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
 
     def add(self, x: np.ndarray) -> None:
         self.n += 1
@@ -311,46 +399,46 @@ def warmup_windows(warmup: int) -> list[tuple[int, int]] | None:
 
 
 def find_reasonable_step_size(
-    vg: ValueAndGrad,
+    vg: StackedValueAndGrad,
     state: HMCState,
-    mass_diag: np.ndarray,
-    rng: np.random.Generator,
-) -> float:
-    """Double/halve the step size until one-step acceptance crosses 0.5."""
-    eps = 1.0
-    p = rng.standard_normal(state.z.shape[0]) * np.sqrt(mass_diag)
-    h0 = -state.logp + _kinetic(p, mass_diag)
+    mass: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Per chain, double/halve the step size until one-step acceptance crosses 0.5."""
+    p = _momenta(rngs, mass)
+    h0 = -state.logp + _kinetic(p, mass)
 
-    def log_ratio(eps: float) -> float:
-        proposal, p_new, ok = _leapfrog_vg(vg, state, p, eps, 1, mass_diag)
-        if not ok:
-            return -math.inf
-        return -(-proposal.logp + _kinetic(p_new, mass_diag)) + h0
+    def log_ratio(eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        start = HMCState(state.z[rows], state.logp[rows], state.grad[rows])
+        end, p_new, ok = leapfrog(vg, start, p[rows], eps, np.ones(rows.size, int), mass[rows])
+        with np.errstate(invalid="ignore"):
+            ratio = -(-end.logp + _kinetic(p_new, mass[rows])) + h0[rows]
+        return np.where(ok, ratio, -math.inf)
 
-    direction = 1.0 if log_ratio(eps) > math.log(0.5) else -1.0
+    eps = np.ones(len(rngs))
+    rows = np.arange(len(rngs))
+    up = log_ratio(eps, rows) > _LOG_HALF
     for _ in range(100):
-        eps *= 2.0**direction
-        ratio = log_ratio(eps)
-        if direction > 0 and ratio <= math.log(0.5):
-            break
-        if direction < 0 and ratio >= math.log(0.5):
-            break
-        if not 1e-10 < eps < 1e7:
+        eps[rows] *= np.where(up[rows], 2.0, 0.5)
+        ratio = log_ratio(eps[rows], rows)
+        e = eps[rows]
+        crossed = np.where(up[rows], ratio <= _LOG_HALF, ratio >= _LOG_HALF)
+        rows = rows[~(crossed | ~((1e-10 < e) & (e < 1e7)))]
+        if not rows.size:
             break
     return eps
 
 
-def _warmup_chain(
-    vg: ValueAndGrad,
+def _warmup(
+    vg: StackedValueAndGrad,
     state: HMCState,
     config: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, HMCState]:
-    """Adapt (step size, diagonal mass) over the warmup phase."""
-    dim = state.z.shape[0]
-    mass = np.ones(dim)
-    eps = find_reasonable_step_size(vg, state, mass, rng)
-    da = DualAveraging.start_at(eps)
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, HMCState]:
+    """Adapt each chain's (step size, diagonal mass) over the warmup phase."""
+    mass = np.ones(state.z.shape)
+    eps = find_reasonable_step_size(vg, state, mass, rngs)
+    das = [DualAveraging.start_at(e) for e in eps.tolist()]
     windows = warmup_windows(config.warmup)
     if windows is None and config.warmup > 0:
         warnings.warn(
@@ -361,16 +449,18 @@ def _warmup_chain(
     window_iter = iter(windows or [])
     window = next(window_iter, None)
     welford: _Welford | None = None
-    divergent = 0
+    divergent = np.zeros(len(rngs), dtype=int)
     for t in range(config.warmup):
-        state, accept, div = hmc_transition(
-            vg, state, eps, mass, rng, config.max_leapfrog_steps
+        state, accept, div = _transitions(
+            vg, state, eps, mass, rngs, config.max_leapfrog_steps
         )
         divergent += div
-        eps = da.update(accept, config.target_accept)
+        eps = np.array(
+            [da.update(a, config.target_accept) for da, a in zip(das, accept.tolist())]
+        )
         if window is not None and window[0] <= t:
             if welford is None:
-                welford = _Welford(dim)
+                welford = _Welford(state.z.shape)
             welford.add(state.z)
             if t == window[1] - 1:
                 # mass = inverse posterior variance, so step sizes scale
@@ -378,15 +468,15 @@ def _warmup_chain(
                 mass = 1.0 / welford.regularized_var()
                 welford = None
                 window = next(window_iter, None)
-                eps = find_reasonable_step_size(vg, state, mass, rng)
-                da = DualAveraging.start_at(eps)
+                eps = find_reasonable_step_size(vg, state, mass, rngs)
+                das = [DualAveraging.start_at(e) for e in eps.tolist()]
     if config.warmup > 0:
-        if divergent == config.warmup:
+        if np.any(divergent == config.warmup):
             raise SamplingError(
                 "every warmup transition diverged; consider a non-centered "
                 "parametrization or a smaller init_radius"
             )
-        eps = da.averaged()
+        eps = np.array([da.averaged() for da in das])
     return eps, mass, state
 
 
@@ -395,25 +485,35 @@ def adapt_warmup(
     config: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """Run warmup adaptation from a fresh initialization.
+    """Run one chain's warmup adaptation from a fresh initialization.
 
     Deterministic given the generator state: repeated calls with an
     identically seeded generator return bit-identical results.
     """
     vg = posterior.logp_and_grad
-    state = _initial_state(vg, posterior.dim, config.init_radius, rng)
-    eps, mass, _ = _warmup_chain(vg, state, config, rng)
-    return eps, mass
+    state = _initial_state(vg, posterior.dim, config.init_radius, [rng])
+    eps, mass, _ = _warmup(vg, state, config, [rng])
+    return float(eps[0]), mass[0]
 
 
 def _initial_state(
-    vg: ValueAndGrad, dim: int, init_radius: float, rng: np.random.Generator
+    vg: StackedValueAndGrad,
+    dim: int,
+    init_radius: float,
+    rngs: Sequence[np.random.Generator],
 ) -> HMCState:
+    """Per chain, uniform draws in [-init_radius, init_radius]^dim until one has finite density."""
+    state = HMCState(np.empty((len(rngs), dim)), np.empty(len(rngs)), np.empty((len(rngs), dim)))
+    todo = np.arange(len(rngs))
     for _ in range(100):
-        z = rng.uniform(-init_radius, init_radius, size=dim)
+        z = np.array([rngs[c].uniform(-init_radius, init_radius, size=dim) for c in todo])
         logp, grad = vg(z)
-        if math.isfinite(logp) and np.all(np.isfinite(grad)):
-            return HMCState(z, logp, grad)
+        good = np.isfinite(logp) & np.isfinite(grad).all(axis=1)
+        found = todo[good]
+        state.z[found], state.logp[found], state.grad[found] = z[good], logp[good], grad[good]
+        todo = todo[~good]
+        if not todo.size:
+            return state
     raise SamplingError(
         "could not find an initialization with finite density in 100 tries; "
         "consider a smaller init_radius"
@@ -426,46 +526,37 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample_chain(
-    vg: ValueAndGrad,
+def _sample_chains(
+    vg: StackedValueAndGrad,
     dim: int,
     config: SamplerConfig,
-    chain_index: int,
     constrain: Callable[[np.ndarray], np.ndarray],
-) -> ChainOutput:
-    rng = chain_rng(config.seed, chain_index)
-    state = _initial_state(vg, dim, config.init_radius, rng)
-    eps, mass, state = _warmup_chain(vg, state, config, rng)
+) -> list[ChainOutput]:
+    """Warm up and sample all chains in lockstep; ``constrain`` maps draws row-wise."""
+    rngs = [chain_rng(config.seed, c) for c in range(config.chains)]
+    state = _initial_state(vg, dim, config.init_radius, rngs)
+    eps, mass, state = _warmup(vg, state, config, rngs)
     n_keep = config.iter - config.warmup
-    draws = np.empty((n_keep, dim))
-    constrained = np.empty((n_keep, dim))
-    accepts = np.empty(n_keep)
-    divergences = 0
+    draws = np.empty((config.chains, n_keep, dim))
+    accepts = np.empty((config.chains, n_keep))
+    divergences = np.zeros(config.chains, dtype=int)
     for i in range(n_keep):
-        state, accept, div = hmc_transition(
-            vg, state, eps, mass, rng, config.max_leapfrog_steps
+        state, accepts[:, i], div = _transitions(
+            vg, state, eps, mass, rngs, config.max_leapfrog_steps
         )
         divergences += div
-        draws[i] = state.z
-        constrained[i] = constrain(state.z)
-        accepts[i] = accept
-    return ChainOutput(
-        draws=draws,
-        constrained_draws=constrained,
-        accept_stats=accepts,
-        divergences=divergences,
-        step_size=eps,
-        mass_diag=mass,
-    )
-
-
-def _max_workers(chains: int) -> int:
-    raw = os.environ.get("METABAYES_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    return max(1, min(chains, workers))
+        draws[:, i] = state.z
+    return [
+        ChainOutput(
+            draws=draws[c],
+            constrained_draws=constrain(draws[c]),
+            accept_stats=accepts[c],
+            divergences=int(divergences[c]),
+            step_size=float(eps[c]),
+            mass_diag=mass[c],
+        )
+        for c in range(config.chains)
+    ]
 
 
 def run_chains(
@@ -473,26 +564,13 @@ def run_chains(
 ) -> PosteriorDraws:
     """Fit a model: run all chains and collect post-warmup constrained draws.
 
-    Chains are independent given their derived seeds and are merged by
-    chain index, so results do not depend on scheduling.  The
-    ``METABAYES_THREADS`` environment variable caps chain parallelism
-    (default 1, sequential).
+    The chains step in lockstep through stacked posterior evaluations.
+    Each keeps its own random stream and adaptation, so chain c's draws
+    are the same whatever the number of chains beside it.
     """
     config = config or SamplerConfig()
     post = Posterior(spec, dataset)
-    vg = post.logp_and_grad
-    constrain = post.layout.constrain
-    indices = range(config.chains)
-    workers = _max_workers(config.chains)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chains = list(
-                pool.map(
-                    lambda c: _sample_chain(vg, post.dim, config, c, constrain), indices
-                )
-            )
-    else:
-        chains = [_sample_chain(vg, post.dim, config, c, constrain) for c in indices]
+    chains = _sample_chains(post.logp_and_grad, post.dim, config, post.layout.constrain)
     return PosteriorDraws(parameter_names=post.layout.parameter_names, chains=chains)
 
 

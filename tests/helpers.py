@@ -9,7 +9,7 @@ import numpy as np
 from metabayes.data import ArmRecord, Dataset, Endpoint
 from metabayes.model import ModelSpec, Prior
 from metabayes.posterior import Posterior
-from metabayes.sampler import ChainOutput, PosteriorDraws, SamplerConfig, _sample_chain
+from metabayes.sampler import ChainOutput, PosteriorDraws, SamplerConfig, _sample_chains, _stacked
 
 
 def synth_pairwise(endpoint: Endpoint, n_studies: int = 4, seed: int = 0) -> Dataset:
@@ -171,20 +171,18 @@ def max_gradient_error(post: Posterior, n_points: int, seed: int, h: float = 1e-
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
+    # one stacked evaluation per point: z, then z + h e_i, then z - h e_i
+    shifts = np.concatenate([np.zeros((1, post.dim)), h * np.eye(post.dim), -h * np.eye(post.dim)])
     for _ in range(50 * n_points):
         if checked == n_points:
             break
         z = rng.normal(0.0, 1.0, post.dim)
-        lp, grad = post.logp_and_grad(z)
+        lps, grads = post.logp_and_grad(z + shifts)
+        lp, grad = lps[0], grads[0]
         if not abs(lp) < 1e5:
             continue
         checked += 1
-        fd = np.empty(post.dim)
-        for i in range(post.dim):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            fd[i] = (post.logp_and_grad(zp)[0] - post.logp_and_grad(zm)[0]) / (2 * h)
+        fd = (lps[1 : post.dim + 1] - lps[post.dim + 1 :]) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
         worst = max(worst, float(rel.max()))
     assert checked == n_points, "could not find enough well-conditioned points"
@@ -192,11 +190,12 @@ def max_gradient_error(post: Posterior, n_points: int, seed: int, h: float = 1e-
 
 
 def run_raw_chains(vg, dim: int, config: SamplerConfig) -> PosteriorDraws:
-    """Run the HMC machinery on a bare (log density, gradient) target."""
-    chains = [
-        _sample_chain(vg, dim, config, c, constrain=lambda z: z)
-        for c in range(config.chains)
-    ]
+    """Run the HMC machinery on a bare one-point (log density, gradient) target.
+
+    The lockstep sampler evaluates stacks of points; the target is
+    evaluated on them row by row.
+    """
+    chains = _sample_chains(_stacked(vg), dim, config, constrain=lambda z: z)
     names = tuple(f"x[{i + 1}]" for i in range(dim))
     return PosteriorDraws(parameter_names=names, chains=chains)
 

@@ -128,6 +128,30 @@ class TestGradients:
             assert math.isfinite(res.log_density)
             assert np.all(np.isfinite(res.gradient))
 
+    @pytest.mark.parametrize("label,spec,ds", all_spec_variants(), ids=lambda c: c if isinstance(c, str) else "")
+    def test_stacked_rows_equal_single_points_bit_for_bit(self, label, spec, ds):
+        post = Posterior(spec, ds)
+        rng = np.random.default_rng(stable_seed(label))
+        z = rng.normal(0.0, 1.5, (7, post.dim))
+        z[3, post.dim - 1] = 900.0  # one overflowing row among finite ones
+        lps, grads = post.logp_and_grad(z)
+        assert lps.shape == (7,) and grads.shape == (7, post.dim)
+        for b in range(7):
+            lp, grad = post.logp_and_grad(z[b])
+            assert lps[b] == lp or (math.isnan(lp) and math.isnan(lps[b]))
+            np.testing.assert_array_equal(grads[b], grad)
+            assert np.array_equal(np.signbit(grads[b]), np.signbit(grad))
+
+    @pytest.mark.parametrize("dose_response", ["emax", "sigmoidal"])
+    def test_underflowed_ed50_evaluates_to_minus_inf(self, dose_response):
+        post = Posterior(ModelSpec("mbma", "binary", dose_response=dose_response), FULL)
+        z = np.zeros((2, post.dim))
+        z[0, post.layout.slice_of("ED50")] = -746.0  # exp underflows to 0
+        lps, grads = post.logp_and_grad(z)
+        assert lps[0] == -math.inf and not grads[0].any()
+        assert math.isfinite(lps[1])
+        assert post.logp_and_grad(z[0])[0] == -math.inf
+
     def test_non_finite_input_names_block(self):
         spec = ModelSpec("pairwise", "binary")
         post = Posterior(spec, PAIRWISE)
@@ -154,7 +178,8 @@ class TestParametrizationEquivalence:
         ]:
             post_n = Posterior(spec_ncp, ds)
             post_c = Posterior(spec_c, ds)
-            mix = post_n._L
+            # pairwise models keep one unmixed effect per study
+            mix = post_n._L if post_n._L is not None else np.eye(ds.n_studies)
             log_det_mix = float(np.sum(np.log(np.diag(mix))))
             rng = np.random.default_rng(42)
             for _ in range(10):

@@ -16,6 +16,8 @@ from metabayes.sampler import (
     HMCState,
     SamplerConfig,
     SamplingError,
+    _stacked,
+    _warmup,
     adapt_warmup,
     chain_rng,
     find_reasonable_step_size,
@@ -41,41 +43,88 @@ def gaussian_vg(scales):
 STD5 = gaussian_vg(np.ones(5))
 
 
+def stacked_harmonic(z):
+    """Standard Gaussian target on a stack of points: log p = -|z|^2 / 2."""
+    return -0.5 * np.sum(z * z, axis=-1), -z
+
+
+def start(z, vg=stacked_harmonic):
+    """Lockstep state of a stack of positions."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return HMCState(z, *vg(z))
+
+
 class TestLeapfrog:
+    """The lockstep integrator that transitions and the step-size search run."""
+
     def test_energy_conservation_on_harmonic_oscillator(self):
-        grad = lambda z: -z
-        z0, p0 = np.array([1.0]), np.array([0.0])
-        h0 = 0.5 * (z0[0] ** 2 + p0[0] ** 2)
-        z, p = leapfrog(z0, p0, eps=0.1, n_steps=62, grad=grad, mass_diag=np.ones(1))
-        h1 = 0.5 * (z[0] ** 2 + p[0] ** 2)
-        assert abs(h1 - h0) < 1e-3
+        z0, p0 = np.array([[1.0]]), np.array([[0.0]])
+        h0 = 0.5 * (z0[0, 0] ** 2 + p0[0, 0] ** 2)
+        end, p, ok = leapfrog(stacked_harmonic, start(z0), p0, [0.1], [62], np.ones((1, 1)))
+        h1 = 0.5 * (end.z[0, 0] ** 2 + p[0, 0] ** 2)
+        assert ok[0] and abs(h1 - h0) < 1e-3
 
     def test_reversibility(self):
         rng = np.random.default_rng(0)
-        vg = gaussian_vg([1.0, 3.0, 0.5])
-        grad = lambda z: vg(z)[1]
-        z0 = rng.normal(size=3)
-        p0 = rng.normal(size=3)
-        mass = np.array([1.0, 0.5, 2.0])
-        z1, p1 = leapfrog(z0, p0, 0.05, 37, grad, mass)
-        z2, p2 = leapfrog(z1, -p1, 0.05, 37, grad, mass)
-        np.testing.assert_allclose(z2, z0, atol=1e-10)
+        vg = _stacked(gaussian_vg([1.0, 3.0, 0.5]))
+        z0 = rng.normal(size=(1, 3))
+        p0 = rng.normal(size=(1, 3))
+        mass = np.array([[1.0, 0.5, 2.0]])
+        s1, p1, _ = leapfrog(vg, start(z0, vg), p0, [0.05], [37], mass)
+        s2, p2, _ = leapfrog(vg, s1, -p1, [0.05], [37], mass)
+        np.testing.assert_allclose(s2.z, z0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
     def test_single_step_matches_hand_computation(self):
         # z=1, p=0, eps=0.1 on the standard Gaussian:
         # p_half = -0.05; z' = 1 + 0.1*(-0.05) = 0.995; p' = -0.05 - 0.05*0.995
-        z, p = leapfrog(np.array([1.0]), np.array([0.0]), 0.1, 1, lambda z: -z, np.ones(1))
-        assert z[0] == pytest.approx(0.995, abs=1e-15)
-        assert p[0] == pytest.approx(-0.09975, abs=1e-15)
+        end, p, ok = leapfrog(
+            stacked_harmonic, start([1.0]), np.array([[0.0]]), [0.1], [1], np.ones((1, 1))
+        )
+        assert end.z[0, 0] == pytest.approx(0.995, abs=1e-15)
+        assert p[0, 0] == pytest.approx(-0.09975, abs=1e-15)
+        assert end.logp[0] == -0.5 * end.z[0, 0] ** 2 and ok[0]
+
+    def test_lockstep_chains_match_chains_run_alone(self):
+        rng = np.random.default_rng(5)
+        z0, p0 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        eps, n_steps = np.array([0.1, 0.3, 0.2]), np.array([7, 2, 11])
+        mass = rng.uniform(0.5, 2.0, size=(3, 2))
+        end, p, ok = leapfrog(stacked_harmonic, start(z0), p0, eps, n_steps, mass)
+        assert ok.all()
+        for b in range(3):
+            one, p_one, _ = leapfrog(
+                stacked_harmonic, start(z0[b]), p0[b:b + 1], eps[b:b + 1], n_steps[b:b + 1],
+                mass[b:b + 1],
+            )
+            np.testing.assert_array_equal(end.z[b], one.z[0])
+            np.testing.assert_array_equal(p[b], p_one[0])
+            assert end.logp[b] == one.logp[0]
+
+    def test_chain_leaving_the_support_stops_alone(self):
+        def half_line(z):  # density only on z > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(z[:, 0] > 0, np.log(z[:, 0]), -np.inf), 1.0 / z
+
+        z0 = np.array([[0.05], [5.0]])
+        state = HMCState(z0, *half_line(z0))
+        p0 = np.array([[-3.0], [1.0]])
+        end, _, ok = leapfrog(half_line, state, p0, [0.1, 0.1], [20, 20], np.ones((2, 1)))
+        assert list(ok) == [False, True]
+        np.testing.assert_array_equal(end.z[0], z0[0])  # held at its start
+        assert end.z[1, 0] > 5.0
 
     def test_zero_step_size_forbidden(self):
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(1), np.zeros(1), 0.0, 1, lambda z: -z, np.ones(1))
+            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.0], [1], np.ones((1, 1)))
+
+    def test_zero_steps_forbidden(self):
+        with pytest.raises(ValueError):
+            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.1], [0], np.ones((1, 1)))
 
     def test_nonpositive_mass_forbidden(self):
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(1), np.zeros(1), 0.1, 1, lambda z: -z, np.zeros(1))
+            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.1], [1], np.zeros((1, 1)))
 
 
 class TestTransition:
@@ -120,19 +169,31 @@ class TestTransition:
         assert divergent in (False, True)
         assert new_state.z.shape == (5,)
 
+    def test_large_energy_drop_is_accepted(self):
+        """A proposal 800 nats up has exp(-delta_h) = e^800: accept with statistic 1."""
+
+        def cliff(z):  # flat, 800 nats higher away from the origin
+            return (800.0 if abs(z[0]) > 1e-9 else 0.0), np.zeros(1)
+
+        state = HMCState(np.zeros(1), *cliff(np.zeros(1)))
+        # eps = 1.5 caps the trajectory at one step
+        new_state, accept, divergent = hmc_transition(
+            cliff, state, 1.5, np.ones(1), np.random.default_rng(0)
+        )
+        assert accept == 1.0 and not divergent
+        assert new_state.logp == 800.0
+
 
 class TestWarmupAdaptation:
     def test_mass_recovers_coordinate_scales(self):
         vg = gaussian_vg([1.0, 10.0])
         cfg = SamplerConfig(chains=1, iter=1600, warmup=1500, seed=2)
         rng = chain_rng(cfg.seed, 0)
-        state = HMCState(np.zeros(2), *vg(np.zeros(2)))
-        from metabayes.sampler import _warmup_chain
-
-        eps, mass, _ = _warmup_chain(vg, state, cfg, rng)
-        assert eps > 0 and math.isfinite(eps)
+        state = start(np.zeros(2), _stacked(vg))
+        eps, mass, _ = _warmup(_stacked(vg), state, cfg, [rng])
+        assert eps[0] > 0 and math.isfinite(eps[0])
         # inverse-variance masses: ratio should track the 1:100 variance ratio
-        ratio = mass[0] / mass[1]
+        ratio = mass[0, 0] / mass[0, 1]
         assert 50 <= ratio <= 200
 
     def test_adapt_warmup_is_deterministic(self):
@@ -164,10 +225,10 @@ class TestWarmupAdaptation:
         assert warmup_windows(149) is None
 
     def test_find_reasonable_step_size_is_finite(self):
-        rng = np.random.default_rng(0)
-        state = HMCState(np.zeros(5), *STD5(np.zeros(5)))
-        eps = find_reasonable_step_size(STD5, state, np.ones(5), rng)
-        assert 1e-6 < eps < 100
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        state = start(np.zeros((2, 5)))
+        eps = find_reasonable_step_size(stacked_harmonic, state, np.ones((2, 5)), rngs)
+        assert eps.shape == (2,) and np.all((1e-6 < eps) & (eps < 100))
 
 
 class TestRunChains:
@@ -199,15 +260,15 @@ class TestRunChains:
             assert np.all(np.isfinite(chain.constrained_draws))
             assert chain.divergences >= 0
 
-    def test_thread_parallelism_matches_sequential(self, monkeypatch):
+    def test_chain_draws_do_not_depend_on_the_chain_count(self):
         ds = builtin_dataset("boucher2016_pairwise")
         spec = ModelSpec("pairwise", "binary")
-        cfg = SamplerConfig(chains=4, iter=300, warmup=150, seed=77)
-        seq = run_chains(spec, ds, cfg)
-        monkeypatch.setenv("METABAYES_THREADS", "4")
-        par = run_chains(spec, ds, cfg)
-        for a, b in zip(seq.chains, par.chains):
-            np.testing.assert_array_equal(a.constrained_draws, b.constrained_draws)
+        two = run_chains(spec, ds, SamplerConfig(chains=2, iter=300, warmup=150, seed=77))
+        four = run_chains(spec, ds, SamplerConfig(chains=4, iter=300, warmup=150, seed=77))
+        for a, b in zip(two.chains, four.chains[:2]):
+            np.testing.assert_array_equal(a.draws, b.draws)
+            np.testing.assert_array_equal(a.accept_stats, b.accept_stats)
+            assert a.step_size == b.step_size
 
     def test_all_divergent_warmup_raises(self):
         def exploding(z):
