@@ -373,7 +373,6 @@ class _RandomEffects:
 class Posterior:
     """Callable log-posterior and gradient for a (ModelSpec, Dataset) pair.
 
-    Evaluation is pure: a single instance may be shared across threads.
     Missing priors are filled with the model defaults; the functional
     ED50 prior is resolved against the maximum dose at construction.
     """
@@ -391,8 +390,9 @@ class Posterior:
         k = dataset.n_studies
         self._k = k
         self._sidx = np.array([a.study - 1 for a in arms])
-        # bincount indices of stacks of B points, by B
-        self._stacked_sidx: dict[int, np.ndarray] = {}
+        # bincount indices of the largest stack seen; a stack of B points
+        # uses its first B * n_arms entries
+        self._stacked_sidx = self._sidx
 
         slices = self.layout.slice_of
         self._sl_mu = slices("mu")
@@ -540,10 +540,9 @@ class Posterior:
     def _study_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-study sums of per-arm values, (B, n_arms) -> (B, k)."""
         b = v.shape[0]
-        idx = self._stacked_sidx.get(b)
-        if idx is None:
-            idx = (self._sidx + self._k * np.arange(b)[:, None]).ravel()
-            self._stacked_sidx[b] = idx
+        if self._stacked_sidx.size < v.size:
+            self._stacked_sidx = (self._sidx + self._k * np.arange(b)[:, None]).ravel()
+        idx = self._stacked_sidx[: v.size]
         return np.bincount(idx, weights=v.ravel(), minlength=b * self._k).reshape(b, self._k)
 
     def _re_parts(self, x: np.ndarray, dxdz: np.ndarray) -> _RandomEffects | None:

@@ -7,11 +7,15 @@ Metropolis correction on the Hamiltonian error.  Warmup adapts the step
 size by dual averaging toward a target acceptance rate and estimates a
 diagonal mass matrix in expanding memoryless windows.
 
-All chains of a fit step in lockstep: each leapfrog step evaluates the
-log density of every chain still integrating as one stack of points,
-(B, dim) -> (B,), (B, dim), and a chain whose trajectory has ended holds
-its state until the longest one finishes.  Everything else is per chain:
-random stream, initialization, step size, mass and trajectory lengths.
+All chains of a fit share one integrator: each leapfrog step evaluates
+the log density of every chain that has transitions left as one stack of
+points, (B, dim) -> (B,), (B, dim).  A chain whose trajectory ends makes
+its Metropolis step, its adaptation and its next momentum and length
+draws at once, and takes its next step in the same stacked evaluation as
+the others; no chain waits for another's trajectory.  Everything else is
+per chain: random stream, initialization, step size, mass, trajectory
+lengths and warmup schedule.  Only the step-size search at the end of a
+mass window runs on its own, as one-row evaluations.
 
 Determinism: chain c of a run seeded with s draws from
 ``numpy.random.Generator(Philox(SeedSequence(entropy=s, spawn_key=(c,))))``,
@@ -131,7 +135,7 @@ class PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep leapfrog integration
+# Leapfrog integration
 # ---------------------------------------------------------------------------
 
 
@@ -139,13 +143,28 @@ class PosteriorDraws:
 class HMCState:
     """Position, log density and gradient of one chain.
 
-    The lockstep functions hold a stack of chains in one state: ``z`` and
+    :func:`leapfrog` holds a stack of chains in one state: ``z`` and
     ``grad`` are then (B, dim) and ``logp`` is (B,).
     """
 
     z: np.ndarray
     logp: float | np.ndarray
     grad: np.ndarray
+
+
+@dataclass
+class _Trajectory:
+    """One chain's leapfrog trajectory: start, initial momentum, step size, steps, mass."""
+
+    start: HMCState
+    p: np.ndarray
+    eps: float
+    n_steps: int
+    mass: np.ndarray
+
+
+# The end of a trajectory, (state, momentum), or None where it turned non-finite.
+_End = tuple[HMCState, np.ndarray] | None
 
 
 def _stacked(vg: ValueAndGrad) -> StackedValueAndGrad:
@@ -159,6 +178,107 @@ def _stacked(vg: ValueAndGrad) -> StackedValueAndGrad:
     return stacked
 
 
+def _drift(z: np.ndarray, p: np.ndarray, eps: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    return z + eps * p / mass
+
+
+def _kick(p: np.ndarray, eps: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    return p + eps * grad
+
+
+def _integrate(
+    vg: StackedValueAndGrad,
+    trajectories: Sequence[_Trajectory],
+    on_end: Callable[[int, _End], _Trajectory | None],
+) -> None:
+    """Leapfrog trajectories of a stack of chains, each restarted as soon as it ends.
+
+    Row b starts on ``trajectories[b]``.  Each step drifts every row's
+    position, evaluates ``vg`` once on the whole stack and kicks every
+    row's momentum.  A trajectory ends after its ``n_steps``-th step, or
+    as soon as its position, log density or momentum turns non-finite.
+    ``on_end(b, end)`` then gets row b's end state and momentum (None if
+    non-finite) and returns the row's next trajectory, which starts at
+    once, or None to drop the row from the stack.  No row's arithmetic
+    depends on another's, so each trajectory ends exactly as it would
+    run alone.
+    """
+    n, dim = len(trajectories), trajectories[0].p.size
+    live = np.arange(n)
+    z, p, mass = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
+    step_eps, half_eps = np.empty((n, 1)), np.empty((n, 1))
+    last = np.empty(n, dtype=np.int64)  # the step at which each row's trajectory ends
+
+    def begin(i: int, traj: _Trajectory, first_step: int) -> None:
+        z[i] = traj.start.z
+        step_eps[i] = traj.eps
+        half_eps[i] = 0.5 * traj.eps
+        p[i] = _kick(traj.p, half_eps[i], traj.start.grad)
+        mass[i] = traj.mass
+        last[i] = first_step + traj.n_steps - 1
+
+    for i, traj in enumerate(trajectories):
+        begin(i, traj, 0)
+    soonest = int(last.min())  # the first step at which some row ends
+    step = -1
+    while live.size:
+        step += 1
+        z = _drift(z, p, step_eps, mass)
+        if not np.isfinite(z).all():
+            # a row whose position turned non-finite ends before it is evaluated
+            stopped = ~np.isfinite(z).all(axis=1)
+            while stopped.any():
+                keep = np.ones(live.size, dtype=bool)
+                for i in np.flatnonzero(stopped):
+                    nxt = on_end(int(live[i]), None)
+                    if nxt is None:
+                        keep[i] = False
+                        continue
+                    begin(i, nxt, step)
+                    z[i] = _drift(z[i], p[i], step_eps[i], mass[i])
+                live, z, p, mass, step_eps, half_eps, last = (
+                    a[keep] for a in (live, z, p, mass, step_eps, half_eps, last)
+                )
+                stopped = ~np.isfinite(z).all(axis=1)
+            if not live.size:
+                return
+            soonest = int(last.min())
+        logp, grad = vg(z)
+        ok = np.isfinite(logp)
+        if step < soonest and ok.all():
+            p = _kick(p, step_eps, grad)
+            continue
+        done = last == step
+        p = _kick(p, np.where(done[:, None], half_eps, step_eps), grad)
+        keep = np.ones(live.size, dtype=bool)
+        for i in np.flatnonzero(done | ~ok):
+            end = None
+            if ok[i] and np.isfinite(p[i]).all():
+                end = HMCState(z[i].copy(), float(logp[i]), grad[i].copy()), p[i].copy()
+            nxt = on_end(int(live[i]), end)
+            if nxt is None:
+                keep[i] = False
+            else:
+                begin(i, nxt, step + 1)
+        if not keep.all():
+            live, z, p, mass, step_eps, half_eps, last = (
+                a[keep] for a in (live, z, p, mass, step_eps, half_eps, last)
+            )
+        if live.size:
+            soonest = int(last.min())
+
+
+def _run_alone(vg: StackedValueAndGrad, traj: _Trajectory) -> _End:
+    """The end of one trajectory, run as a one-row stack."""
+    ends: list[_End] = [None]
+
+    def record(_: int, end: _End) -> None:
+        ends[0] = end
+
+    _integrate(vg, [traj], record)
+    return ends[0]
+
+
 def leapfrog(
     vg: StackedValueAndGrad,
     state: HMCState,
@@ -167,7 +287,7 @@ def leapfrog(
     n_steps: np.ndarray,
     mass_diag: np.ndarray,
 ) -> tuple[HMCState, np.ndarray, np.ndarray]:
-    """Leapfrog trajectories of a stack of chains, stepped in lockstep.
+    """Leapfrog trajectories of a stack of chains, one each.
 
     Chain b takes ``n_steps[b]`` steps of size ``eps[b]`` from
     ``(state.z[b], p[b])`` under its diagonal mass ``mass_diag[b]``.  Each
@@ -181,6 +301,7 @@ def leapfrog(
     negating the momentum and integrating again returns the starting
     point.
     """
+    p = np.asarray(p, dtype=float)
     eps = np.asarray(eps, dtype=float)
     n_steps = np.asarray(n_steps)
     mass_diag = np.asarray(mass_diag, dtype=float)
@@ -191,107 +312,55 @@ def leapfrog(
     if np.any(mass_diag <= 0):
         raise ValueError("mass_diag must be strictly positive")
     end = HMCState(state.z.copy(), np.array(state.logp, dtype=float), state.grad.copy())
-    p_end = np.array(p, dtype=float)
-    ok = np.ones(len(eps), dtype=bool)
-    # the chains still integrating, and their working arrays
-    live = np.arange(len(eps))
-    step_eps = eps[:, None]
-    half_eps = 0.5 * step_eps
-    z, mass, last = state.z, mass_diag, n_steps - 1
-    soonest = int(last.min())  # the first step at which some chain ends
-    p = p + half_eps * state.grad
-    for step in range(int(n_steps.max())):
-        z = z + step_eps * p / mass
-        finite = np.isfinite(z)
-        if not finite.all():
-            keep = finite.all(axis=1)
-            ok[live[~keep]] = False
-            live, z, p, mass, last, step_eps, half_eps = (
-                a[keep] for a in (live, z, p, mass, last, step_eps, half_eps)
-            )
-            if not live.size:
-                break
-        logp, grad = vg(z)
-        keep = np.isfinite(logp)
-        if step < soonest and keep.all():
-            p = p + step_eps * grad
-            continue
-        done = last == step
-        p = p + np.where(done[:, None], half_eps, step_eps) * grad
-        ok[live[~keep]] = False
-        finished = done & keep
-        finished[finished] = np.isfinite(p[finished]).all(axis=1)
-        ok[live[done & ~finished]] = False
-        idx = live[finished]
-        end.z[idx], end.logp[idx], end.grad[idx] = z[finished], logp[finished], grad[finished]
-        p_end[idx] = p[finished]
-        keep &= ~done
-        live, z, p, mass, last, step_eps, half_eps = (
-            a[keep] for a in (live, z, p, mass, last, step_eps, half_eps)
-        )
-        if live.size:
-            soonest = int(last.min())
+    p_end = p.copy()
+    ok = np.zeros(len(eps), dtype=bool)
+
+    def record(b: int, result: _End) -> None:
+        if result is not None:
+            row, p_end[b] = result
+            end.z[b], end.logp[b], end.grad[b] = row.z, row.logp, row.grad
+            ok[b] = True
+
+    trajectories = [
+        _Trajectory(HMCState(state.z[b], state.logp[b], state.grad[b]), p[b], e, int(n), mass_diag[b])
+        for b, (e, n) in enumerate(zip(eps.tolist(), n_steps.tolist()))
+    ]
+    _integrate(vg, trajectories, record)
     return end, p_end, ok
 
 
 def _kinetic(p: np.ndarray, mass_diag: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * np.add.reduce(p * p / mass_diag, axis=-1)
+    return 0.5 * np.add.reduce(p * p / mass_diag, axis=-1)
 
 
 def _num_steps_cap(eps: float, max_steps: int) -> int:
     return max(1, min(max_steps, int(round(_TARGET_PATH_LENGTH / eps))))
 
 
-def _momenta(rngs: Sequence[np.random.Generator], mass: np.ndarray) -> np.ndarray:
-    """One momentum draw per chain, from each chain's own stream."""
-    dim = mass.shape[1]
-    return np.array([rng.standard_normal(dim) for rng in rngs]) * np.sqrt(mass)
+def _draw_trajectory(
+    state: HMCState, eps: float, mass: np.ndarray, rng: np.random.Generator, max_steps: int
+) -> _Trajectory:
+    """A transition's momentum and jittered number of steps, drawn in that order."""
+    p = rng.standard_normal(mass.size) * np.sqrt(mass)
+    n_steps = int(rng.integers(1, _num_steps_cap(eps, max_steps) + 1))
+    return _Trajectory(state, p, eps, n_steps, mass)
 
 
-def _transitions(
-    vg: StackedValueAndGrad,
-    state: HMCState,
-    eps: np.ndarray,
-    mass: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    max_leapfrog_steps: int,
-) -> tuple[HMCState, np.ndarray, np.ndarray]:
-    """One HMC transition of every chain of a stack, in lockstep.
-
-    Returns the new states, the acceptance statistics and the divergence
-    flags.  Each chain draws its momentum, its number of steps and its
-    acceptance uniform from its own stream, in that order.
-    """
-    p = _momenta(rngs, mass)
-    n_steps = np.array(
-        [
-            rng.integers(1, _num_steps_cap(e, max_leapfrog_steps) + 1)
-            for rng, e in zip(rngs, eps.tolist())
-        ]
-    )
-    h0 = -state.logp + _kinetic(p, mass)
-    proposal, p_new, ok = leapfrog(vg, state, p, eps, n_steps, mass)
-    with np.errstate(invalid="ignore"):
-        delta_h = (-proposal.logp + _kinetic(p_new, mass)) - h0
-    accept = np.zeros(len(rngs))
-    divergent = np.zeros(len(rngs), dtype=bool)
-    take = np.zeros(len(rngs), dtype=bool)
-    for c, rng in enumerate(rngs):
-        u = rng.random()  # drawn whatever the outcome, keeping streams aligned
-        dh = float(delta_h[c])
-        if not ok[c] or not math.isfinite(dh) or abs(dh) > DIVERGENCE_THRESHOLD:
-            divergent[c] = True
-            continue
-        # exp(-delta_h) overflows for energy drops beyond ~709.8
-        accept[c] = 1.0 if dh <= 0 else math.exp(-dh)
-        take[c] = u < accept[c]
-    new = HMCState(
-        np.where(take[:, None], proposal.z, state.z),
-        np.where(take, proposal.logp, state.logp),
-        np.where(take[:, None], proposal.grad, state.grad),
-    )
-    return new, accept, divergent
+def _metropolis(
+    traj: _Trajectory, end: _End, rng: np.random.Generator
+) -> tuple[HMCState, float, bool]:
+    """Accept or reject a trajectory's end: (state, acceptance statistic, divergent)."""
+    u = rng.random()  # drawn whatever the outcome, keeping streams aligned
+    if end is not None:
+        proposal, p = end
+        with np.errstate(over="ignore", invalid="ignore"):
+            h0 = -traj.start.logp + _kinetic(traj.p, traj.mass)
+            dh = float((-proposal.logp + _kinetic(p, traj.mass)) - h0)
+        if math.isfinite(dh) and abs(dh) <= DIVERGENCE_THRESHOLD:
+            # exp(-delta_h) overflows for energy drops beyond ~709.8
+            accept = 1.0 if dh <= 0 else math.exp(-dh)
+            return (proposal if u < accept else traj.start), accept, False
+    return traj.start, 0.0, True
 
 
 def hmc_transition(
@@ -304,21 +373,19 @@ def hmc_transition(
 ) -> tuple[HMCState, float, bool]:
     """One HMC transition of one chain: returns (state, acceptance statistic, divergent).
 
-    ``vg`` evaluates one point.  This is the one-chain case of the
-    lockstep transition that :func:`run_chains` steps all chains with.
-    Divergent transitions (non-finite states, or |energy error| above
+    ``vg`` evaluates one point.  The transition draws its momentum, its
+    number of steps and its acceptance uniform from ``rng``, in that
+    order, exactly as each chain of :func:`run_chains` does.  Divergent
+    transitions (non-finite states, or |energy error| above
     ``DIVERGENCE_THRESHOLD``) are rejected and flagged, not raised.
     """
-    stack = HMCState(state.z[None], np.array([state.logp], dtype=float), state.grad[None])
-    new, accept, divergent = _transitions(
-        _stacked(vg),
-        stack,
-        np.array([eps], dtype=float),
-        np.asarray(mass_diag, dtype=float)[None],
-        [rng],
-        max_leapfrog_steps,
-    )
-    return HMCState(new.z[0], float(new.logp[0]), new.grad[0]), float(accept[0]), bool(divergent[0])
+    mass_diag = np.asarray(mass_diag, dtype=float)
+    if not eps > 0:
+        raise ValueError("step size must be > 0")
+    if np.any(mass_diag <= 0):
+        raise ValueError("mass_diag must be strictly positive")
+    traj = _draw_trajectory(state, eps, mass_diag, rng, max_leapfrog_steps)
+    return _metropolis(traj, _run_alone(_stacked(vg), traj), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +421,7 @@ class DualAveraging:
 
 
 class _Welford:
-    """Online mean/variance over the draws of one adaptation window, per chain."""
+    """Online mean/variance over the draws of one adaptation window."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.n = 0
@@ -402,43 +469,130 @@ def find_reasonable_step_size(
     vg: StackedValueAndGrad,
     state: HMCState,
     mass: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Per chain, double/halve the step size until one-step acceptance crosses 0.5."""
-    p = _momenta(rngs, mass)
-    h0 = -state.logp + _kinetic(p, mass)
+    rng: np.random.Generator,
+) -> float:
+    """Double/halve one chain's step size until one-step acceptance crosses 0.5.
 
-    def log_ratio(eps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        start = HMCState(state.z[rows], state.logp[rows], state.grad[rows])
-        end, p_new, ok = leapfrog(vg, start, p[rows], eps, np.ones(rows.size, int), mass[rows])
-        with np.errstate(invalid="ignore"):
-            ratio = -(-end.logp + _kinetic(p_new, mass[rows])) + h0[rows]
-        return np.where(ok, ratio, -math.inf)
+    Every try is a one-step trajectory from ``state`` with the same
+    momentum, run as a one-row stack.
+    """
+    p = rng.standard_normal(mass.size) * np.sqrt(mass)
+    with np.errstate(over="ignore"):
+        h0 = -state.logp + _kinetic(p, mass)
 
-    eps = np.ones(len(rngs))
-    rows = np.arange(len(rngs))
-    up = log_ratio(eps, rows) > _LOG_HALF
+    def log_ratio(eps: float) -> float:
+        end = _run_alone(vg, _Trajectory(state, p, eps, 1, mass))
+        if end is None:
+            return -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(-end[0].logp + _kinetic(end[1], mass)) + h0
+
+    eps = 1.0
+    up = log_ratio(eps) > _LOG_HALF
     for _ in range(100):
-        eps[rows] *= np.where(up[rows], 2.0, 0.5)
-        ratio = log_ratio(eps[rows], rows)
-        e = eps[rows]
-        crossed = np.where(up[rows], ratio <= _LOG_HALF, ratio >= _LOG_HALF)
-        rows = rows[~(crossed | ~((1e-10 < e) & (e < 1e7)))]
-        if not rows.size:
+        eps *= 2.0 if up else 0.5
+        ratio = log_ratio(eps)
+        crossed = ratio <= _LOG_HALF if up else ratio >= _LOG_HALF
+        if crossed or not 1e-10 < eps < 1e7:
             break
     return eps
 
 
-def _warmup(
+class _Chain:
+    """One chain's schedule of transitions: warmup adaptation, then kept draws.
+
+    :meth:`end` takes the end of the chain's current trajectory, makes
+    the Metropolis step and, during warmup, the adaptation, and returns
+    the chain's next trajectory, or None once it has run ``n_iter``
+    transitions.  At the end of each mass window the chain searches a new
+    step size at once, on its own.
+    """
+
+    def __init__(
+        self,
+        vg: StackedValueAndGrad,
+        state: HMCState,
+        rng: np.random.Generator,
+        config: SamplerConfig,
+        windows: list[tuple[int, int]] | None,
+        n_iter: int,
+    ):
+        self.vg, self.state, self.rng, self.config = vg, state, rng, config
+        self.n_iter = n_iter
+        self.t = 0
+        self.windows = iter(windows or [])
+        self.window = next(self.windows, None)
+        self.welford: _Welford | None = None
+        self.warmup_divergences = 0
+        n_keep = n_iter - config.warmup
+        self.draws = np.empty((n_keep, state.z.size))
+        self.accept_stats = np.empty(n_keep)
+        self.divergences = 0
+        self._restart_adaptation(np.ones(state.z.size))
+        self._next()
+
+    def _restart_adaptation(self, mass: np.ndarray) -> None:
+        self.mass = mass
+        self.eps = find_reasonable_step_size(self.vg, self.state, mass, self.rng)
+        self.da = DualAveraging.start_at(self.eps)
+
+    def _next(self) -> _Trajectory | None:
+        self.trajectory = None
+        if self.t < self.n_iter:
+            self.trajectory = _draw_trajectory(
+                self.state, self.eps, self.mass, self.rng, self.config.max_leapfrog_steps
+            )
+        return self.trajectory
+
+    def end(self, end: _End) -> _Trajectory | None:
+        self.state, accept, divergent = _metropolis(self.trajectory, end, self.rng)
+        t, warmup = self.t, self.config.warmup
+        self.t += 1
+        if t < warmup:
+            self._adapt(t, accept, divergent)
+        else:
+            self.draws[t - warmup] = self.state.z
+            self.accept_stats[t - warmup] = accept
+            self.divergences += divergent
+        return self._next()
+
+    def _adapt(self, t: int, accept: float, divergent: bool) -> None:
+        self.warmup_divergences += divergent
+        self.eps = self.da.update(accept, self.config.target_accept)
+        window = self.window
+        if window is not None and window[0] <= t:
+            if self.welford is None:
+                self.welford = _Welford(self.state.z.shape)
+            self.welford.add(self.state.z)
+            if t == window[1] - 1:
+                # mass = inverse posterior variance, so step sizes scale
+                # with each coordinate's posterior spread
+                self._restart_adaptation(1.0 / self.welford.regularized_var())
+                self.welford = None
+                self.window = next(self.windows, None)
+        if t == self.config.warmup - 1:
+            if self.warmup_divergences == self.config.warmup:
+                raise SamplingError(
+                    "every warmup transition diverged; consider a non-centered "
+                    "parametrization or a smaller init_radius"
+                )
+            self.eps = self.da.averaged()
+
+
+def _run_stack(
     vg: StackedValueAndGrad,
-    state: HMCState,
+    dim: int,
     config: SamplerConfig,
     rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, HMCState]:
-    """Adapt each chain's (step size, diagonal mass) over the warmup phase."""
-    mass = np.ones(state.z.shape)
-    eps = find_reasonable_step_size(vg, state, mass, rngs)
-    das = [DualAveraging.start_at(e) for e in eps.tolist()]
+    n_iter: int,
+) -> list[_Chain]:
+    """Run the first ``n_iter`` transitions of one chain per stream.
+
+    Every leapfrog step evaluates ``vg`` once, on every chain that has
+    transitions left; each chain starts its next transition as soon as
+    its trajectory ends.
+    """
+    state = _initial_state(vg, dim, config.init_radius, rngs)
     windows = warmup_windows(config.warmup)
     if windows is None and config.warmup > 0:
         warnings.warn(
@@ -446,38 +600,13 @@ def _warmup(
             "adapting step size only",
             stacklevel=3,
         )
-    window_iter = iter(windows or [])
-    window = next(window_iter, None)
-    welford: _Welford | None = None
-    divergent = np.zeros(len(rngs), dtype=int)
-    for t in range(config.warmup):
-        state, accept, div = _transitions(
-            vg, state, eps, mass, rngs, config.max_leapfrog_steps
-        )
-        divergent += div
-        eps = np.array(
-            [da.update(a, config.target_accept) for da, a in zip(das, accept.tolist())]
-        )
-        if window is not None and window[0] <= t:
-            if welford is None:
-                welford = _Welford(state.z.shape)
-            welford.add(state.z)
-            if t == window[1] - 1:
-                # mass = inverse posterior variance, so step sizes scale
-                # with each coordinate's posterior spread
-                mass = 1.0 / welford.regularized_var()
-                welford = None
-                window = next(window_iter, None)
-                eps = find_reasonable_step_size(vg, state, mass, rngs)
-                das = [DualAveraging.start_at(e) for e in eps.tolist()]
-    if config.warmup > 0:
-        if np.any(divergent == config.warmup):
-            raise SamplingError(
-                "every warmup transition diverged; consider a non-centered "
-                "parametrization or a smaller init_radius"
-            )
-        eps = np.array([da.averaged() for da in das])
-    return eps, mass, state
+    chains = [
+        _Chain(vg, HMCState(state.z[c], state.logp[c], state.grad[c]), rng, config, windows, n_iter)
+        for c, rng in enumerate(rngs)
+    ]
+    if n_iter:
+        _integrate(vg, [c.trajectory for c in chains], lambda b, end: chains[b].end(end))
+    return chains
 
 
 def adapt_warmup(
@@ -490,10 +619,8 @@ def adapt_warmup(
     Deterministic given the generator state: repeated calls with an
     identically seeded generator return bit-identical results.
     """
-    vg = posterior.logp_and_grad
-    state = _initial_state(vg, posterior.dim, config.init_radius, [rng])
-    eps, mass, _ = _warmup(vg, state, config, [rng])
-    return float(eps[0]), mass[0]
+    (chain,) = _run_stack(posterior.logp_and_grad, posterior.dim, config, [rng], config.warmup)
+    return float(chain.eps), chain.mass
 
 
 def _initial_state(
@@ -531,31 +658,23 @@ def _sample_chains(
     dim: int,
     config: SamplerConfig,
     constrain: Callable[[np.ndarray], np.ndarray],
+    rngs: Sequence[np.random.Generator],
 ) -> list[ChainOutput]:
-    """Warm up and sample all chains in lockstep; ``constrain`` maps draws row-wise."""
-    rngs = [chain_rng(config.seed, c) for c in range(config.chains)]
-    state = _initial_state(vg, dim, config.init_radius, rngs)
-    eps, mass, state = _warmup(vg, state, config, rngs)
-    n_keep = config.iter - config.warmup
-    draws = np.empty((config.chains, n_keep, dim))
-    accepts = np.empty((config.chains, n_keep))
-    divergences = np.zeros(config.chains, dtype=int)
-    for i in range(n_keep):
-        state, accepts[:, i], div = _transitions(
-            vg, state, eps, mass, rngs, config.max_leapfrog_steps
-        )
-        divergences += div
-        draws[:, i] = state.z
+    """Warm up and sample one chain per stream; ``constrain`` maps draws row-wise.
+
+    The number and seed of ``config`` are not used: the streams define
+    the chains, so one call can hold the chains of several fits.
+    """
     return [
         ChainOutput(
-            draws=draws[c],
-            constrained_draws=constrain(draws[c]),
-            accept_stats=accepts[c],
-            divergences=int(divergences[c]),
-            step_size=float(eps[c]),
-            mass_diag=mass[c],
+            draws=c.draws,
+            constrained_draws=constrain(c.draws),
+            accept_stats=c.accept_stats,
+            divergences=c.divergences,
+            step_size=float(c.eps),
+            mass_diag=c.mass,
         )
-        for c in range(config.chains)
+        for c in _run_stack(vg, dim, config, rngs, config.iter)
     ]
 
 
@@ -564,13 +683,14 @@ def run_chains(
 ) -> PosteriorDraws:
     """Fit a model: run all chains and collect post-warmup constrained draws.
 
-    The chains step in lockstep through stacked posterior evaluations.
+    The chains share one stacked posterior evaluation per leapfrog step.
     Each keeps its own random stream and adaptation, so chain c's draws
     are the same whatever the number of chains beside it.
     """
     config = config or SamplerConfig()
     post = Posterior(spec, dataset)
-    chains = _sample_chains(post.logp_and_grad, post.dim, config, post.layout.constrain)
+    rngs = [chain_rng(config.seed, c) for c in range(config.chains)]
+    chains = _sample_chains(post.logp_and_grad, post.dim, config, post.layout.constrain, rngs)
     return PosteriorDraws(parameter_names=post.layout.parameter_names, chains=chains)
 
 

@@ -9,7 +9,14 @@ import numpy as np
 from metabayes.data import ArmRecord, Dataset, Endpoint
 from metabayes.model import ModelSpec, Prior
 from metabayes.posterior import Posterior
-from metabayes.sampler import ChainOutput, PosteriorDraws, SamplerConfig, _sample_chains, _stacked
+from metabayes.sampler import (
+    ChainOutput,
+    PosteriorDraws,
+    SamplerConfig,
+    _sample_chains,
+    _stacked,
+    chain_rng,
+)
 
 
 def synth_pairwise(endpoint: Endpoint, n_studies: int = 4, seed: int = 0) -> Dataset:
@@ -192,10 +199,11 @@ def max_gradient_error(post: Posterior, n_points: int, seed: int, h: float = 1e-
 def run_raw_chains(vg, dim: int, config: SamplerConfig) -> PosteriorDraws:
     """Run the HMC machinery on a bare one-point (log density, gradient) target.
 
-    The lockstep sampler evaluates stacks of points; the target is
-    evaluated on them row by row.
+    The sampler evaluates stacks of points; the target is evaluated on
+    them row by row.
     """
-    chains = _sample_chains(_stacked(vg), dim, config, constrain=lambda z: z)
+    rngs = [chain_rng(config.seed, c) for c in range(config.chains)]
+    chains = _sample_chains(_stacked(vg), dim, config, lambda z: z, rngs)
     names = tuple(f"x[{i + 1}]" for i in range(dim))
     return PosteriorDraws(parameter_names=names, chains=chains)
 

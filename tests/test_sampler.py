@@ -16,8 +16,11 @@ from metabayes.sampler import (
     HMCState,
     SamplerConfig,
     SamplingError,
+    _Trajectory,
+    _integrate,
+    _run_stack,
+    _sample_chains,
     _stacked,
-    _warmup,
     adapt_warmup,
     chain_rng,
     find_reasonable_step_size,
@@ -49,13 +52,13 @@ def stacked_harmonic(z):
 
 
 def start(z, vg=stacked_harmonic):
-    """Lockstep state of a stack of positions."""
+    """State of a stack of positions."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     return HMCState(z, *vg(z))
 
 
 class TestLeapfrog:
-    """The lockstep integrator that transitions and the step-size search run."""
+    """The one integrator that transitions and the step-size search run."""
 
     def test_energy_conservation_on_harmonic_oscillator(self):
         z0, p0 = np.array([[1.0]]), np.array([[0.0]])
@@ -113,6 +116,54 @@ class TestLeapfrog:
         assert list(ok) == [False, True]
         np.testing.assert_array_equal(end.z[0], z0[0])  # held at its start
         assert end.z[1, 0] > 5.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_restarted_rows_end_as_trajectories_run_alone(self):
+        # row 1's second trajectory leaves the finite numbers at its first
+        # drift, so its third starts within the same stacked step
+        rng = np.random.default_rng(3)
+        z0 = rng.normal(size=(3, 2))
+        state = [HMCState(z, *stacked_harmonic(z)) for z in z0]
+        queues = [
+            [(rng.normal(size=2), e, n) for e, n in ((0.2, 5), (0.1, 1), (0.3, 4))],
+            [(rng.normal(size=2), 0.1, 3), (np.full(2, 1e308), 10.0, 6), (rng.normal(size=2), 0.2, 2)],
+            [(rng.normal(size=2), 0.25, 9)],
+        ]
+        trajectories = [
+            [_Trajectory(state[b], p, e, n, np.ones(2)) for p, e, n in queue]
+            for b, queue in enumerate(queues)
+        ]
+        pending = [list(t) for t in trajectories]
+        ends = [[] for _ in trajectories]
+        sizes = []
+
+        def vg(z):
+            sizes.append(len(z))
+            return stacked_harmonic(z)
+
+        def on_end(b, end):
+            ends[b].append(end)
+            pending[b].pop(0)
+            return pending[b][0] if pending[b] else None
+
+        _integrate(vg, [t[0] for t in trajectories], on_end)
+        for b, row in enumerate(trajectories):
+            assert len(ends[b]) == len(row)
+            for traj, end in zip(row, ends[b]):
+                one, p_one, ok = leapfrog(
+                    stacked_harmonic, start(traj.start.z), traj.p[None], [traj.eps],
+                    [traj.n_steps], traj.mass[None],
+                )
+                if not ok[0]:
+                    assert end is None
+                    continue
+                np.testing.assert_array_equal(end[0].z, one.z[0])
+                np.testing.assert_array_equal(end[1], p_one[0])
+                assert end[0].logp == one.logp[0]
+        assert ends[1][1] is None
+        # every evaluation serves every row with a trajectory left: 10 steps
+        # for row 0 (5 + 1 + 4), 5 for row 1 (3 + 0 + 2) and 9 for row 2
+        assert sizes == [3] * 5 + [2] * 4 + [1]
 
     def test_zero_step_size_forbidden(self):
         with pytest.raises(ValueError):
@@ -188,12 +239,10 @@ class TestWarmupAdaptation:
     def test_mass_recovers_coordinate_scales(self):
         vg = gaussian_vg([1.0, 10.0])
         cfg = SamplerConfig(chains=1, iter=1600, warmup=1500, seed=2)
-        rng = chain_rng(cfg.seed, 0)
-        state = start(np.zeros(2), _stacked(vg))
-        eps, mass, _ = _warmup(_stacked(vg), state, cfg, [rng])
-        assert eps[0] > 0 and math.isfinite(eps[0])
+        (chain,) = _run_stack(_stacked(vg), 2, cfg, [chain_rng(cfg.seed, 0)], cfg.warmup)
+        assert chain.eps > 0 and math.isfinite(chain.eps)
         # inverse-variance masses: ratio should track the 1:100 variance ratio
-        ratio = mass[0, 0] / mass[0, 1]
+        ratio = chain.mass[0] / chain.mass[1]
         assert 50 <= ratio <= 200
 
     def test_adapt_warmup_is_deterministic(self):
@@ -225,10 +274,11 @@ class TestWarmupAdaptation:
         assert warmup_windows(149) is None
 
     def test_find_reasonable_step_size_is_finite(self):
-        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        state = start(np.zeros((2, 5)))
-        eps = find_reasonable_step_size(stacked_harmonic, state, np.ones((2, 5)), rngs)
-        assert eps.shape == (2,) and np.all((1e-6 < eps) & (eps < 100))
+        state = HMCState(np.zeros(5), *STD5(np.zeros(5)))
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            eps = find_reasonable_step_size(stacked_harmonic, state, np.ones(5), rng)
+            assert 1e-6 < eps < 100
 
 
 class TestRunChains:
@@ -270,6 +320,29 @@ class TestRunChains:
             np.testing.assert_array_equal(a.accept_stats, b.accept_stats)
             assert a.step_size == b.step_size
 
+    def test_every_step_serves_every_chain_with_iterations_left(self):
+        """A chain whose trajectory ends starts its next one at once.
+
+        Each stacked evaluation holds every chain that has transitions
+        left, so stack sizes only fall, as chains finish; the one-row
+        calls are the step-size searches at the ends of mass windows.
+        """
+        post = Posterior(ModelSpec("pairwise", "binary"), builtin_dataset("boucher2016_pairwise"))
+        sizes = []
+
+        def vg(z):
+            sizes.append(len(z))
+            return post.logp_and_grad(z)
+
+        cfg = SamplerConfig(chains=4, iter=400, warmup=200, seed=77)
+        rngs = [chain_rng(cfg.seed, c) for c in range(cfg.chains)]
+        _sample_chains(vg, post.dim, cfg, post.layout.constrain, rngs)
+        stacked = [b for b in sizes if b > 1]
+        assert all(a >= b for a, b in zip(stacked, stacked[1:]))
+        # each transition takes at least one step, and until the first
+        # chain finishes every step holds all chains
+        assert stacked.count(cfg.chains) >= cfg.iter
+
     def test_all_divergent_warmup_raises(self):
         def exploding(z):
             with np.errstate(over="ignore"):
@@ -281,15 +354,28 @@ class TestRunChains:
                 run_raw_chains(exploding, 3, cfg)
 
     def test_divergence_free_across_seeds(self):
-        """Topiramate non-centered fit: 0 divergences in >= 95% of 20 seeds."""
+        """Topiramate non-centered fit: 0 divergences in >= 95% of 20 seeds.
+
+        The 20 fits run as one stack of 80 chains: a chain's draws depend
+        only on its (seed, chain) stream, so seed 1's chains equal its fit
+        run alone.
+        """
         ds = builtin_dataset("boucher2016_pairwise")
         spec = ModelSpec("pairwise", "binary")
-        clean = 0
-        for seed in range(1, 21):
-            cfg = SamplerConfig(seed=seed, target_accept=0.95)
-            draws = run_chains(spec, ds, cfg)
-            clean += draws.total_divergences == 0
+        cfg = SamplerConfig(target_accept=0.95)
+        post = Posterior(spec, ds)
+        rngs = [chain_rng(seed, c) for seed in range(1, 21) for c in range(cfg.chains)]
+        chains = _sample_chains(post.logp_and_grad, post.dim, cfg, post.layout.constrain, rngs)
+        fits = [chains[i : i + cfg.chains] for i in range(0, len(chains), cfg.chains)]
+        clean = sum(all(c.divergences == 0 for c in fit) for fit in fits)
         assert clean >= 19
+        alone = run_chains(spec, ds, SamplerConfig(seed=1, target_accept=0.95))
+        for a, b in zip(alone.chains, fits[0]):
+            np.testing.assert_array_equal(a.draws, b.draws)
+            np.testing.assert_array_equal(a.constrained_draws, b.constrained_draws)
+            np.testing.assert_array_equal(a.accept_stats, b.accept_stats)
+            np.testing.assert_array_equal(a.mass_diag, b.mass_diag)
+            assert (a.step_size, a.divergences) == (b.step_size, b.divergences)
 
 
 class TestDrawsCsv:
