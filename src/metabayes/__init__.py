@@ -40,30 +40,21 @@ from .model import (
     Parametrization,
     Prior,
     default_priors,
-    dose_response_eval,
-    inverse_link,
-    link,
-    linear_predictor,
     sigma_gamma_cholesky,
 )
 from .posterior import (
-    LogDensityResult,
     ParameterLayout,
-    ParameterState,
     Posterior,
     PosteriorError,
     build_layout,
     log_likelihood,
-    log_posterior_and_gradient,
 )
 from .sampler import (
     ChainOutput,
     PosteriorDraws,
     SamplerConfig,
     SamplingError,
-    adapt_warmup,
     hmc_transition,
-    leapfrog,
     read_draws_csv,
     run_chains,
     write_draws_csv,

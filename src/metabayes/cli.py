@@ -7,6 +7,7 @@ convergence is suspect (max R-hat > 1.05), 4 sampling failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -215,7 +216,10 @@ def _build_spec(model_cfg: dict, dataset: Dataset) -> ModelSpec:
         rows = model_cfg["covariates"]
         if rows and not isinstance(rows[0], list):
             rows = [[v] for v in rows]
-        covariates = tuple(tuple(float(v) for v in r) for r in rows)
+        try:
+            covariates = tuple(tuple(float(v) for v in r) for r in rows)
+        except (TypeError, ValueError):
+            raise ConfigError("model.covariates must be numbers") from None
 
     priors = {
         name: _parse_prior(name, sub)
@@ -435,15 +439,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     summary = {
         "model": _spec_to_dict(spec, priors),
-        "sampler": {
-            "chains": sampler_config.chains,
-            "iter": sampler_config.iter,
-            "warmup": sampler_config.warmup,
-            "seed": sampler_config.seed,
-            "target_accept": sampler_config.target_accept,
-            "max_leapfrog_steps": sampler_config.max_leapfrog_steps,
-            "init_radius": sampler_config.init_radius,
-        },
+        "sampler": dataclasses.asdict(sampler_config),
         "data": _dataset_to_dict(dataset),
         "diagnostics": {
             "max_rhat": table.max_rhat,
@@ -471,25 +467,34 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_fit_dir(fit_dir: Path) -> tuple[dict, PosteriorDraws]:
+def _load_fit_dir(fit_dir: Path) -> tuple[dict, PosteriorDraws, ModelSpec, Dataset]:
     summary_path = fit_dir / "summary.json"
     if not summary_path.exists():
         raise ConfigError(f"no summary.json in {fit_dir}; run 'metabayes fit' first")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        spec = _spec_from_dict(summary["model"])
+        dataset = _dataset_from_dict(summary["data"])
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{summary_path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{summary_path} has no key {exc}") from None
     draws_path = fit_dir / "draws.csv"
     if not draws_path.exists():
         raise ConfigError(
             f"no draws.csv in {fit_dir}; re-run the fit with output.draws enabled"
         )
-    return summary, read_draws_csv(draws_path)
+    try:
+        draws = read_draws_csv(draws_path)
+    except ValueError as exc:
+        raise ConfigError(f"{draws_path}: {exc}") from None
+    return summary, draws, spec, dataset
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     fit_dir = Path(args.fit_dir)
     try:
-        summary, draws = _load_fit_dir(fit_dir)
-        spec = _spec_from_dict(summary["model"])
-        dataset = _dataset_from_dict(summary["data"])
+        summary, draws, spec, dataset = _load_fit_dir(fit_dir)
         if args.kind == "forest":
             svg = _forest_svg(args, summary, draws, spec, dataset)
         else:

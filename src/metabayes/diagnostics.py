@@ -15,12 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (
-    DoseResponse,
-    Link,
-    ModelFamily,
-    ModelSpec,
-)
+from .model import Link, ModelFamily, ModelSpec, _dose_response_kernel
 from .sampler import PosteriorDraws
 
 #: Finite stand-in for the unbounded R-hat of chains stuck at distinct values.
@@ -288,26 +283,8 @@ def dose_curve_bands(
     mu_names = draws.names_matching("mu")
     baseline = np.mean([draws.pooled(n) for n in mu_names], axis=0)
     assert spec.dose_response is not None
-    params = {role: draws.pooled(role) for role in spec.effect_roles()}
-
-    n = baseline.size
-    effect = np.empty((n, grid.size))
-    if spec.dose_response is DoseResponse.LINEAR:
-        effect = params["alpha"][:, None] * grid[None, :]
-    elif spec.dose_response is DoseResponse.LOG_LINEAR:
-        effect = params["alpha"][:, None] * np.log1p(grid)[None, :]
-    elif spec.dose_response is DoseResponse.EMAX:
-        effect = (
-            params["Emax"][:, None] * grid[None, :] / (params["ED50"][:, None] + grid[None, :])
-        )
-    else:  # sigmoidal, via the logistic form (exact 0 at dose 0)
-        effect = np.zeros((n, grid.size))
-        pos = grid > 0
-        t = params["n"][:, None] * (
-            np.log(grid[pos])[None, :] - np.log(params["ED50"])[:, None]
-        )
-        effect[:, pos] = params["Emax"][:, None] / (1.0 + np.exp(-np.clip(t, -700, 700)))
-
+    params = {role: draws.pooled(role)[:, None] for role in spec.effect_roles()}
+    effect = _dose_response_kernel(spec.dose_response, params, grid)[0]
     curves = baseline[:, None] + effect
     if spec.link is Link.LOGIT:
         curves = 1.0 / (1.0 + np.exp(-curves))

@@ -10,13 +10,13 @@ effects with standard deviation ``tau``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
-from .data import ArmRecord, Dataset, Endpoint
+from .data import Dataset, Endpoint
 
 
 class ModelError(ValueError):
@@ -85,70 +85,8 @@ DR_ROLES: dict[DoseResponse, tuple[str, ...]] = {
 
 
 # ---------------------------------------------------------------------------
-# Link functions
-# ---------------------------------------------------------------------------
-
-
-def link(kind: Link | str, theta: float) -> float:
-    """Map a natural-scale parameter to the additive-effect scale."""
-    kind = Link(kind)
-    if kind is Link.LOGIT:
-        if not 0.0 < theta < 1.0:
-            raise DomainError(f"logit needs a probability in (0,1), got {theta}")
-        return math.log(theta / (1.0 - theta))
-    if kind is Link.LOG:
-        if theta <= 0.0:
-            raise DomainError(f"log link needs a positive rate, got {theta}")
-        return math.log(theta)
-    return float(theta)
-
-
-def inverse_link(kind: Link | str, x: float) -> float:
-    kind = Link(kind)
-    if kind is Link.LOGIT:
-        # numerically stable logistic
-        if x >= 0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-    if kind is Link.LOG:
-        return math.exp(x)
-    return float(x)
-
-
-# ---------------------------------------------------------------------------
 # Dose-response families
 # ---------------------------------------------------------------------------
-
-
-def _check_dr_params(family: DoseResponse, params: Mapping[str, float]) -> None:
-    for role in DR_ROLES[family]:
-        if role not in params:
-            raise ModelError(f"dose-response '{family.value}' needs parameter '{role}'")
-    if "ED50" in DR_ROLES[family] and params["ED50"] <= 0:
-        raise DomainError("ED50 must be > 0")
-    if "n" in DR_ROLES[family] and params["n"] <= 0:
-        raise DomainError("Hill parameter n must be > 0")
-
-
-def dose_response_terms(
-    family: DoseResponse | str,
-    params: Mapping[str, float],
-    dose: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Effect f(dose) and its partial derivatives w.r.t. each parameter.
-
-    All families satisfy f(0) = 0 exactly, anchoring the placebo arm.
-    The sigmoidal family uses the saturating form
-    Emax * dose^n / (ED50^n + dose^n), evaluated through the logistic of
-    n*(log dose - log ED50) for numerical stability.
-    """
-    family = DoseResponse(family)
-    _check_dr_params(family, params)
-    dose = np.asarray(dose, dtype=float)
-    if np.any(dose < 0):
-        raise DomainError("doses must be non-negative")
-    return _dose_response_kernel(family, params, dose)
 
 
 def _libm_log(v):
@@ -166,7 +104,14 @@ def _libm_log(v):
 def _dose_response_kernel(
     family: DoseResponse, params: Mapping[str, float | np.ndarray], dose: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """:func:`dose_response_terms` on validated input.
+    """Effect f(dose) and its partial derivatives w.r.t. each parameter.
+
+    ``params`` holds the family's roles (:data:`DR_ROLES`); the caller
+    ensures ED50 and n are positive and doses non-negative.  All families
+    satisfy f(0) = 0 exactly, anchoring the placebo arm.  The sigmoidal
+    family uses the saturating form Emax * dose^n / (ED50^n + dose^n),
+    evaluated through the logistic of n*(log dose - log ED50) for
+    numerical stability.
 
     A parameter may also be a (B, 1) column, one value per row of a
     stack; the results then have shape (B, len(dose)).
@@ -182,7 +127,8 @@ def _dose_response_kernel(
     if family is DoseResponse.EMAX:
         den = ed50 + dose
         frac = dose / den
-        return emax * frac, {"Emax": frac, "ED50": -emax * dose / den**2}
+        # squared in place: one (B, len(dose)) array fewer at the peak
+        return emax * frac, {"Emax": frac, "ED50": -emax * dose / np.square(den, out=den)}
     # sigmoidal
     n = params["n"]
     pos = dose > 0
@@ -199,14 +145,6 @@ def _dose_response_kernel(
         emax * frac,
         {"Emax": frac, "ED50": emax * dfrac_ded50, "n": emax * dfrac_dn},
     )
-
-
-def dose_response_eval(
-    family: DoseResponse | str, params: Mapping[str, float], dose: float
-) -> float:
-    """Scalar dose-response value f(dose)."""
-    value, _ = dose_response_terms(family, params, np.array([float(dose)]))
-    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +371,6 @@ class ModelSpec:
         if self.family is ModelFamily.MBMA and not dataset.has_doses:
             raise ModelError("mbma requires a dose on every arm")
 
-    def with_default_priors(self) -> "ModelSpec":
-        return replace(self, priors=default_priors(self))
-
 
 def default_priors(spec: ModelSpec) -> dict[str, Prior]:
     """Complete prior map for a specification, filling unset blocks.
@@ -468,54 +403,3 @@ def default_priors(spec: ModelSpec) -> dict[str, Prior]:
         filled[name] = prior
     return filled
 
-
-# ---------------------------------------------------------------------------
-# Per-arm linear predictor (reference implementation)
-# ---------------------------------------------------------------------------
-
-
-def linear_predictor(
-    spec: ModelSpec,
-    study: int,
-    arm: ArmRecord,
-    params: Mapping[str, object],
-) -> float:
-    """Additive-scale predictor G(theta) for one arm.
-
-    ``params`` holds named blocks: ``mu`` (sequence over studies),
-    ``theta`` (scalar effect), ``beta`` (regression coefficients),
-    ``gamma`` (the random effect attached to this arm's contrast, 0 when
-    absent) and the dose-response parameters under their role names.
-    This scalar form mirrors the vectorised posterior code and is used to
-    cross-check it.
-    """
-    mu = params.get("mu")
-    if mu is None or len(mu) < study:  # type: ignore[arg-type]
-        raise ModelError(f"mu block must cover study {study}")
-    mu_i = float(mu[study - 1])  # type: ignore[index]
-    gamma = float(params.get("gamma", 0.0))  # type: ignore[arg-type]
-
-    if spec.family is ModelFamily.MBMA:
-        if arm.arm == 0:
-            return mu_i
-        if arm.dose is None:
-            raise ModelError("mbma arms need doses")
-        assert spec.dose_response is not None
-        dr = {r: float(params[r]) for r in DR_ROLES[spec.dose_response] if r in params}  # type: ignore[arg-type]
-        return mu_i + dose_response_eval(spec.dose_response, dr, arm.dose) + gamma
-
-    theta = float(params.get("theta", 0.0))  # type: ignore[arg-type]
-    x_beta = 0.0
-    if spec.family is ModelFamily.META_REGRESSION:
-        beta = params.get("beta")
-        assert spec.covariates is not None
-        x_i = spec.covariates[study - 1]
-        if beta is None or len(beta) != len(x_i):  # type: ignore[arg-type]
-            raise ModelError(
-                f"beta block must have {len(x_i)} coefficients"
-            )
-        x_beta = float(np.dot(x_i, np.asarray(beta, dtype=float)))
-    delta = theta + x_beta + gamma
-    if spec.parametrization is Parametrization.SYMMETRIC:
-        return mu_i + (0.5 if arm.arm != 0 else -0.5) * delta
-    return mu_i + (delta if arm.arm != 0 else 0.0)

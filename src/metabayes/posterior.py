@@ -155,33 +155,6 @@ class ParameterLayout:
         return x, dxdz, log_jac, dlog_jac
 
 
-class ParameterState:
-    """A point in the unconstrained space together with its layout."""
-
-    def __init__(self, layout: ParameterLayout, z: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (layout.dim,):
-            raise PosteriorError(f"state needs shape ({layout.dim},), got {z.shape}")
-        self.layout = layout
-        self.z = z
-
-    @classmethod
-    def from_constrained(cls, layout: ParameterLayout, x: np.ndarray) -> "ParameterState":
-        return cls(layout, layout.unconstrain(np.asarray(x, dtype=float)))
-
-    def constrained(self) -> np.ndarray:
-        return self.layout.constrain(self.z)
-
-    def block(self, name: str) -> np.ndarray:
-        return self.constrained()[self.layout.slice_of(name)]
-
-
-@dataclass
-class LogDensityResult:
-    log_density: float
-    gradient: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Likelihood kernels
 # ---------------------------------------------------------------------------
@@ -371,7 +344,7 @@ class _RandomEffects:
 
 
 class Posterior:
-    """Callable log-posterior and gradient for a (ModelSpec, Dataset) pair.
+    """Log-posterior and gradient for a (ModelSpec, Dataset) pair.
 
     Missing priors are filled with the model defaults; the functional
     ED50 prior is resolved against the maximum dose at construction.
@@ -460,9 +433,6 @@ class Posterior:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, z: np.ndarray):
-        return self.logp_and_grad(z)
-
     def logp_and_grad(self, z: np.ndarray):
         """Log density and gradient on the unconstrained scale.
 
@@ -478,9 +448,6 @@ class Posterior:
             return self._logp_and_grad(z)
         lp, grad = self._logp_and_grad(z[None])
         return float(lp[0]), grad[0]
-
-    def log_density(self, z: np.ndarray) -> float:
-        return self.logp_and_grad(z)[0]
 
     def log_likelihood_value(self, z: np.ndarray) -> float:
         """Likelihood part alone (used in parametrization-equivalence checks)."""
@@ -648,10 +615,3 @@ class Posterior:
                 grad[:, self._sl_latent] += g_effect
         return ll, grad
 
-
-def log_posterior_and_gradient(
-    spec: ModelSpec, dataset: Dataset, z: np.ndarray
-) -> LogDensityResult:
-    """One-shot evaluation; build a :class:`Posterior` for repeated calls."""
-    lp, grad = Posterior(spec, dataset).logp_and_grad(z)
-    return LogDensityResult(lp, grad)

@@ -143,8 +143,9 @@ class PosteriorDraws:
 class HMCState:
     """Position, log density and gradient of one chain.
 
-    :func:`leapfrog` holds a stack of chains in one state: ``z`` and
-    ``grad`` are then (B, dim) and ``logp`` is (B,).
+    The trajectories of :func:`_integrate` start and end at one chain's
+    state.  :func:`_initial_state` holds a stack of chains in one state:
+    ``z`` and ``grad`` are then (B, dim) and ``logp`` is (B,).
     """
 
     z: np.ndarray
@@ -277,56 +278,6 @@ def _run_alone(vg: StackedValueAndGrad, traj: _Trajectory) -> _End:
 
     _integrate(vg, [traj], record)
     return ends[0]
-
-
-def leapfrog(
-    vg: StackedValueAndGrad,
-    state: HMCState,
-    p: np.ndarray,
-    eps: np.ndarray,
-    n_steps: np.ndarray,
-    mass_diag: np.ndarray,
-) -> tuple[HMCState, np.ndarray, np.ndarray]:
-    """Leapfrog trajectories of a stack of chains, one each.
-
-    Chain b takes ``n_steps[b]`` steps of size ``eps[b]`` from
-    ``(state.z[b], p[b])`` under its diagonal mass ``mass_diag[b]``.  Each
-    step evaluates ``vg`` once, on the chains still integrating; the
-    gradient at the start comes from ``state``.  Returns the end states,
-    the end momenta and a flag per chain that is False where the position,
-    log density or momentum turned non-finite: that chain stopped there
-    and its returned state is its starting one.
-
-    The integrator is symplectic and time-reversible: integrating,
-    negating the momentum and integrating again returns the starting
-    point.
-    """
-    p = np.asarray(p, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    n_steps = np.asarray(n_steps)
-    mass_diag = np.asarray(mass_diag, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("step size must be > 0")
-    if np.any(n_steps < 1):
-        raise ValueError("n_steps must be >= 1")
-    if np.any(mass_diag <= 0):
-        raise ValueError("mass_diag must be strictly positive")
-    end = HMCState(state.z.copy(), np.array(state.logp, dtype=float), state.grad.copy())
-    p_end = p.copy()
-    ok = np.zeros(len(eps), dtype=bool)
-
-    def record(b: int, result: _End) -> None:
-        if result is not None:
-            row, p_end[b] = result
-            end.z[b], end.logp[b], end.grad[b] = row.z, row.logp, row.grad
-            ok[b] = True
-
-    trajectories = [
-        _Trajectory(HMCState(state.z[b], state.logp[b], state.grad[b]), p[b], e, int(n), mass_diag[b])
-        for b, (e, n) in enumerate(zip(eps.tolist(), n_steps.tolist()))
-    ]
-    _integrate(vg, trajectories, record)
-    return end, p_end, ok
 
 
 def _kinetic(p: np.ndarray, mass_diag: np.ndarray) -> np.ndarray:
@@ -609,20 +560,6 @@ def _run_stack(
     return chains
 
 
-def adapt_warmup(
-    posterior: Posterior,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Run one chain's warmup adaptation from a fresh initialization.
-
-    Deterministic given the generator state: repeated calls with an
-    identically seeded generator return bit-identical results.
-    """
-    (chain,) = _run_stack(posterior.logp_and_grad, posterior.dim, config, [rng], config.warmup)
-    return float(chain.eps), chain.mass
-
-
 def _initial_state(
     vg: StackedValueAndGrad,
     dim: int,
@@ -734,6 +671,10 @@ def read_draws_csv(path_or_buffer) -> PosteriorDraws:
         names = tuple(header[2:])
         by_chain: dict[int, list[list[float]]] = {}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num} has {len(row)} fields, the header {len(header)}"
+                )
             by_chain.setdefault(int(row[0]), []).append([float(v) for v in row[2:]])
     finally:
         if own:

@@ -1,13 +1,15 @@
-"""Shared test utilities: synthetic datasets, raw-target sampling, gradients."""
+"""Shared test utilities: synthetic datasets, a reference predictor, raw-target sampling, gradients."""
 
 from __future__ import annotations
 
+import math
 import zlib
+from typing import Mapping
 
 import numpy as np
 
 from metabayes.data import ArmRecord, Dataset, Endpoint
-from metabayes.model import ModelSpec, Prior
+from metabayes.model import DoseResponse, ModelError, ModelFamily, ModelSpec, Parametrization, Prior
 from metabayes.posterior import Posterior
 from metabayes.sampler import (
     ChainOutput,
@@ -165,6 +167,60 @@ def all_spec_variants():
         )
     )
     return cases
+
+
+def dose_response(family: DoseResponse, params: Mapping[str, float], dose: float) -> float:
+    """f(dose) of a dose-response family in closed form, apart from the posterior's kernel."""
+    if family is DoseResponse.LINEAR:
+        return params["alpha"] * dose
+    if family is DoseResponse.LOG_LINEAR:
+        return params["alpha"] * math.log1p(dose)
+    emax, ed50 = params["Emax"], params["ED50"]
+    if family is DoseResponse.EMAX:
+        return emax * dose / (ed50 + dose)
+    n = params["n"]
+    return emax * dose**n / (ed50**n + dose**n)
+
+
+def linear_predictor(
+    spec: ModelSpec,
+    study: int,
+    arm: ArmRecord,
+    params: Mapping[str, object],
+) -> float:
+    """Additive-scale predictor G(theta) for one arm.
+
+    ``params`` holds named blocks: ``mu`` (sequence over studies),
+    ``theta`` (scalar effect), ``beta`` (regression coefficients),
+    ``gamma`` (the random effect attached to this arm's contrast, 0 when
+    absent) and the dose-response parameters under their role names.
+    This scalar form is written apart from the vectorised posterior code
+    and is used to cross-check it.
+    """
+    mu = params.get("mu")
+    if mu is None or len(mu) < study:
+        raise ModelError(f"mu block must cover study {study}")
+    mu_i = float(mu[study - 1])
+    gamma = float(params.get("gamma", 0.0))
+
+    if spec.family is ModelFamily.MBMA:
+        if arm.arm == 0:
+            return mu_i
+        dr = {r: float(params[r]) for r in spec.effect_roles()}
+        return mu_i + dose_response(spec.dose_response, dr, arm.dose) + gamma
+
+    theta = float(params.get("theta", 0.0))
+    x_beta = 0.0
+    if spec.family is ModelFamily.META_REGRESSION:
+        beta = params.get("beta")
+        x_i = spec.covariates[study - 1]
+        if beta is None or len(beta) != len(x_i):
+            raise ModelError(f"beta block must have {len(x_i)} coefficients")
+        x_beta = float(np.dot(x_i, np.asarray(beta, dtype=float)))
+    delta = theta + x_beta + gamma
+    if spec.parametrization is Parametrization.SYMMETRIC:
+        return mu_i + (0.5 if arm.arm != 0 else -0.5) * delta
+    return mu_i + (delta if arm.arm != 0 else 0.0)
 
 
 def max_gradient_error(post: Posterior, n_points: int, seed: int, h: float = 1e-5) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: convert, fit, plot and the exit-code contract."""
 
 import json
+import shutil
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -296,3 +297,41 @@ class TestPlot:
     def test_forest_plot_on_mbma_fit_rejected(self, mbma_fit, capsys):
         assert run(["plot", "forest", "--fit-dir", str(mbma_fit)]) == 2
         assert "forest" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fit_template(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("template")
+    cfg_path, _ = write_config(tmp)
+    run(["fit", "--config", str(cfg_path)])
+    return tmp / "out"
+
+
+def _truncate_last_row(path):
+    text = path.read_text()
+    path.write_text(text[: text.rindex(",")])
+
+
+MALFORMED = {
+    "draws_bad_header": lambda d: (d / "draws.csv").write_text("x,y\n1,2\n"),
+    "draws_truncated": lambda d: _truncate_last_row(d / "draws.csv"),
+    "summary_not_json": lambda d: (d / "summary.json").write_text("{not json"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", [*MALFORMED, "covariates_not_numbers"])
+    def test_exits_2_with_one_line_error(self, case, fit_template, tmp_path, capsys):
+        if case == "covariates_not_numbers":
+            cfg_path, _ = write_config(
+                tmp_path,
+                model={"family": "meta_regression", "covariates": ["a", "b", "c", "d", "e", "f"]},
+            )
+            argv = ["fit", "--config", str(cfg_path)]
+        else:
+            fit_dir = shutil.copytree(fit_template, tmp_path / "fit")
+            MALFORMED[case](fit_dir)
+            argv = ["plot", "forest", "--fit-dir", str(fit_dir)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,9 +1,9 @@
-"""Links, dose-response families, priors and the per-arm predictor."""
-
-import math
+"""Dose-response families, priors, model specifications and the reference predictor."""
 
 import numpy as np
 import pytest
+
+from helpers import linear_predictor
 
 from metabayes.data import ArmRecord, builtin_dataset
 from metabayes.model import (
@@ -13,41 +13,21 @@ from metabayes.model import (
     ModelSpec,
     Parametrization,
     Prior,
+    _dose_response_kernel,
     default_priors,
-    dose_response_eval,
-    inverse_link,
-    linear_predictor,
-    link,
     sigma_gamma_cholesky,
 )
 
 
-class TestLinks:
-    def test_logit_symmetry_point(self):
-        assert link("logit", 0.5) == 0.0
-
-    def test_identity_passthrough(self):
-        assert link("identity", 3.2) == 3.2
-
-    def test_logit_round_trip(self):
-        assert abs(inverse_link("logit", link("logit", 0.3)) - 0.3) < 1e-12
-
-    def test_log_round_trip(self):
-        assert abs(inverse_link("log", link("log", 4.7)) - 4.7) < 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
-    def test_logit_domain(self, bad):
-        with pytest.raises(DomainError):
-            link("logit", bad)
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            link("log", 0.0)
+def dose_response_at(family, params, dose):
+    """The kernel's f(dose) at one dose."""
+    value, _ = _dose_response_kernel(DoseResponse(family), params, np.array([float(dose)]))
+    return float(value[0])
 
 
 class TestDoseResponse:
     def test_emax_half_maximum_at_ed50(self):
-        assert dose_response_eval("emax", {"Emax": 2, "ED50": 10}, 10) == pytest.approx(1.0)
+        assert dose_response_at("emax", {"Emax": 2, "ED50": 10}, 10) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "family,params",
@@ -59,23 +39,14 @@ class TestDoseResponse:
         ],
     )
     def test_placebo_anchoring_is_exact(self, family, params):
-        assert dose_response_eval(family, params, 0.0) == 0.0
+        assert dose_response_at(family, params, 0.0) == 0.0
 
     def test_fitted_emax_arithmetic(self):
         # oracle: Emax*dose/(ED50+dose) at the fitted medians
         expected = 2.91 * 200 / (13.07 + 200)
-        got = dose_response_eval("emax", {"Emax": 2.91, "ED50": 13.07}, 200)
+        got = dose_response_at("emax", {"Emax": 2.91, "ED50": 13.07}, 200)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(2.7315, abs=1e-3)
-
-    def test_missing_role_is_config_error(self):
-        with pytest.raises(ModelError, match="ED50"):
-            dose_response_eval("emax", {"Emax": 2.0}, 1.0)
-
-    @pytest.mark.parametrize("params", [{"Emax": 1, "ED50": 0.0}, {"Emax": 1, "ED50": -3}])
-    def test_nonpositive_ed50_rejected(self, params):
-        with pytest.raises(DomainError):
-            dose_response_eval("emax", params, 1.0)
 
     def test_emax_monotone_and_saturating(self):
         rng = np.random.default_rng(7)
@@ -83,9 +54,9 @@ class TestDoseResponse:
             emax = rng.uniform(0.1, 5)
             ed50 = rng.uniform(0.5, 50)
             doses = np.sort(rng.uniform(0, 500, 40))
-            vals = [dose_response_eval("emax", {"Emax": emax, "ED50": ed50}, d) for d in doses]
+            vals = [dose_response_at("emax", {"Emax": emax, "ED50": ed50}, d) for d in doses]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
-            big = dose_response_eval("emax", {"Emax": emax, "ED50": ed50}, 1e9)
+            big = dose_response_at("emax", {"Emax": emax, "ED50": ed50}, 1e9)
             assert abs(big - emax) < 1e-6 * emax
 
     def test_sigmoidal_with_unit_hill_equals_emax(self):
@@ -94,8 +65,8 @@ class TestDoseResponse:
             emax = rng.uniform(-3, 3)
             ed50 = rng.uniform(0.1, 80)
             dose = rng.uniform(0, 400)
-            a = dose_response_eval("emax", {"Emax": emax, "ED50": ed50}, dose)
-            b = dose_response_eval("sigmoidal", {"Emax": emax, "ED50": ed50, "n": 1.0}, dose)
+            a = dose_response_at("emax", {"Emax": emax, "ED50": ed50}, dose)
+            b = dose_response_at("sigmoidal", {"Emax": emax, "ED50": ed50, "n": 1.0}, dose)
             assert abs(a - b) < 1e-12
 
 

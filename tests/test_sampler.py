@@ -18,14 +18,13 @@ from metabayes.sampler import (
     SamplingError,
     _Trajectory,
     _integrate,
+    _run_alone,
     _run_stack,
     _sample_chains,
     _stacked,
-    adapt_warmup,
     chain_rng,
     find_reasonable_step_size,
     hmc_transition,
-    leapfrog,
     read_draws_csv,
     run_chains,
     warmup_windows,
@@ -51,71 +50,76 @@ def stacked_harmonic(z):
     return -0.5 * np.sum(z * z, axis=-1), -z
 
 
-def start(z, vg=stacked_harmonic):
-    """State of a stack of positions."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    return HMCState(z, *vg(z))
+def trajectory(z0, p0, eps, n_steps, mass, vg=stacked_harmonic):
+    """A trajectory from position z0, its log density and gradient evaluated by ``vg``."""
+    z0 = np.asarray(z0, dtype=float)
+    logp, grad = vg(z0[None])
+    state = HMCState(z0, float(logp[0]), grad[0])
+    return _Trajectory(state, np.asarray(p0, dtype=float), eps, n_steps, np.asarray(mass, dtype=float))
+
+
+def run_together(vg, trajectories):
+    """The ends of trajectories run as one stack, each without a restart."""
+    ends = [None] * len(trajectories)
+
+    def record(b, end):
+        ends[b] = end
+
+    _integrate(vg, trajectories, record)
+    return ends
 
 
 class TestLeapfrog:
     """The one integrator that transitions and the step-size search run."""
 
     def test_energy_conservation_on_harmonic_oscillator(self):
-        z0, p0 = np.array([[1.0]]), np.array([[0.0]])
-        h0 = 0.5 * (z0[0, 0] ** 2 + p0[0, 0] ** 2)
-        end, p, ok = leapfrog(stacked_harmonic, start(z0), p0, [0.1], [62], np.ones((1, 1)))
-        h1 = 0.5 * (end.z[0, 0] ** 2 + p[0, 0] ** 2)
-        assert ok[0] and abs(h1 - h0) < 1e-3
+        h0 = 0.5 * (1.0**2 + 0.0**2)
+        end, p = _run_alone(stacked_harmonic, trajectory([1.0], [0.0], 0.1, 62, [1.0]))
+        h1 = 0.5 * (end.z[0] ** 2 + p[0] ** 2)
+        assert abs(h1 - h0) < 1e-3
 
     def test_reversibility(self):
         rng = np.random.default_rng(0)
         vg = _stacked(gaussian_vg([1.0, 3.0, 0.5]))
-        z0 = rng.normal(size=(1, 3))
-        p0 = rng.normal(size=(1, 3))
-        mass = np.array([[1.0, 0.5, 2.0]])
-        s1, p1, _ = leapfrog(vg, start(z0, vg), p0, [0.05], [37], mass)
-        s2, p2, _ = leapfrog(vg, s1, -p1, [0.05], [37], mass)
+        z0 = rng.normal(size=3)
+        p0 = rng.normal(size=3)
+        mass = np.array([1.0, 0.5, 2.0])
+        s1, p1 = _run_alone(vg, trajectory(z0, p0, 0.05, 37, mass, vg))
+        s2, p2 = _run_alone(vg, _Trajectory(s1, -p1, 0.05, 37, mass))
         np.testing.assert_allclose(s2.z, z0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
     def test_single_step_matches_hand_computation(self):
         # z=1, p=0, eps=0.1 on the standard Gaussian:
         # p_half = -0.05; z' = 1 + 0.1*(-0.05) = 0.995; p' = -0.05 - 0.05*0.995
-        end, p, ok = leapfrog(
-            stacked_harmonic, start([1.0]), np.array([[0.0]]), [0.1], [1], np.ones((1, 1))
-        )
-        assert end.z[0, 0] == pytest.approx(0.995, abs=1e-15)
-        assert p[0, 0] == pytest.approx(-0.09975, abs=1e-15)
-        assert end.logp[0] == -0.5 * end.z[0, 0] ** 2 and ok[0]
+        end, p = _run_alone(stacked_harmonic, trajectory([1.0], [0.0], 0.1, 1, [1.0]))
+        assert end.z[0] == pytest.approx(0.995, abs=1e-15)
+        assert p[0] == pytest.approx(-0.09975, abs=1e-15)
+        assert end.logp == -0.5 * end.z[0] ** 2
 
     def test_lockstep_chains_match_chains_run_alone(self):
         rng = np.random.default_rng(5)
         z0, p0 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        eps, n_steps = np.array([0.1, 0.3, 0.2]), np.array([7, 2, 11])
+        eps, n_steps = [0.1, 0.3, 0.2], [7, 2, 11]
         mass = rng.uniform(0.5, 2.0, size=(3, 2))
-        end, p, ok = leapfrog(stacked_harmonic, start(z0), p0, eps, n_steps, mass)
-        assert ok.all()
-        for b in range(3):
-            one, p_one, _ = leapfrog(
-                stacked_harmonic, start(z0[b]), p0[b:b + 1], eps[b:b + 1], n_steps[b:b + 1],
-                mass[b:b + 1],
-            )
-            np.testing.assert_array_equal(end.z[b], one.z[0])
-            np.testing.assert_array_equal(p[b], p_one[0])
-            assert end.logp[b] == one.logp[0]
+        trajectories = [trajectory(z0[b], p0[b], eps[b], n_steps[b], mass[b]) for b in range(3)]
+        ends = run_together(stacked_harmonic, trajectories)
+        for traj, (end, p) in zip(trajectories, ends):
+            one, p_one = _run_alone(stacked_harmonic, traj)
+            np.testing.assert_array_equal(end.z, one.z)
+            np.testing.assert_array_equal(p, p_one)
+            assert end.logp == one.logp
 
     def test_chain_leaving_the_support_stops_alone(self):
         def half_line(z):  # density only on z > 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(z[:, 0] > 0, np.log(z[:, 0]), -np.inf), 1.0 / z
 
-        z0 = np.array([[0.05], [5.0]])
-        state = HMCState(z0, *half_line(z0))
-        p0 = np.array([[-3.0], [1.0]])
-        end, _, ok = leapfrog(half_line, state, p0, [0.1, 0.1], [20, 20], np.ones((2, 1)))
-        assert list(ok) == [False, True]
-        np.testing.assert_array_equal(end.z[0], z0[0])  # held at its start
-        assert end.z[1, 0] > 5.0
+        leaving = trajectory([0.05], [-3.0], 0.1, 20, [1.0], half_line)
+        staying = trajectory([5.0], [1.0], 0.1, 20, [1.0], half_line)
+        ends = run_together(half_line, [leaving, staying])
+        assert ends[0] is None
+        assert ends[1][0].z[0] > 5.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_restarted_rows_end_as_trajectories_run_alone(self):
@@ -123,14 +127,13 @@ class TestLeapfrog:
         # drift, so its third starts within the same stacked step
         rng = np.random.default_rng(3)
         z0 = rng.normal(size=(3, 2))
-        state = [HMCState(z, *stacked_harmonic(z)) for z in z0]
         queues = [
             [(rng.normal(size=2), e, n) for e, n in ((0.2, 5), (0.1, 1), (0.3, 4))],
             [(rng.normal(size=2), 0.1, 3), (np.full(2, 1e308), 10.0, 6), (rng.normal(size=2), 0.2, 2)],
             [(rng.normal(size=2), 0.25, 9)],
         ]
         trajectories = [
-            [_Trajectory(state[b], p, e, n, np.ones(2)) for p, e, n in queue]
+            [trajectory(z0[b], p, e, n, np.ones(2)) for p, e, n in queue]
             for b, queue in enumerate(queues)
         ]
         pending = [list(t) for t in trajectories]
@@ -150,32 +153,17 @@ class TestLeapfrog:
         for b, row in enumerate(trajectories):
             assert len(ends[b]) == len(row)
             for traj, end in zip(row, ends[b]):
-                one, p_one, ok = leapfrog(
-                    stacked_harmonic, start(traj.start.z), traj.p[None], [traj.eps],
-                    [traj.n_steps], traj.mass[None],
-                )
-                if not ok[0]:
+                alone = _run_alone(stacked_harmonic, traj)
+                if alone is None:
                     assert end is None
                     continue
-                np.testing.assert_array_equal(end[0].z, one.z[0])
-                np.testing.assert_array_equal(end[1], p_one[0])
-                assert end[0].logp == one.logp[0]
+                np.testing.assert_array_equal(end[0].z, alone[0].z)
+                np.testing.assert_array_equal(end[1], alone[1])
+                assert end[0].logp == alone[0].logp
         assert ends[1][1] is None
         # every evaluation serves every row with a trajectory left: 10 steps
         # for row 0 (5 + 1 + 4), 5 for row 1 (3 + 0 + 2) and 9 for row 2
         assert sizes == [3] * 5 + [2] * 4 + [1]
-
-    def test_zero_step_size_forbidden(self):
-        with pytest.raises(ValueError):
-            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.0], [1], np.ones((1, 1)))
-
-    def test_zero_steps_forbidden(self):
-        with pytest.raises(ValueError):
-            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.1], [0], np.ones((1, 1)))
-
-    def test_nonpositive_mass_forbidden(self):
-        with pytest.raises(ValueError):
-            leapfrog(stacked_harmonic, start([0.0]), np.zeros((1, 1)), [0.1], [1], np.zeros((1, 1)))
 
 
 class TestTransition:
@@ -220,6 +208,16 @@ class TestTransition:
         assert divergent in (False, True)
         assert new_state.z.shape == (5,)
 
+    def test_zero_step_size_forbidden(self):
+        state = HMCState(np.zeros(5), *STD5(np.zeros(5)))
+        with pytest.raises(ValueError, match="step size"):
+            hmc_transition(STD5, state, 0.0, np.ones(5), np.random.default_rng(0))
+
+    def test_nonpositive_mass_forbidden(self):
+        state = HMCState(np.zeros(5), *STD5(np.zeros(5)))
+        with pytest.raises(ValueError, match="mass_diag"):
+            hmc_transition(STD5, state, 0.1, np.zeros(5), np.random.default_rng(0))
+
     def test_large_energy_drop_is_accepted(self):
         """A proposal 800 nats up has exp(-delta_h) = e^800: accept with statistic 1."""
 
@@ -248,10 +246,10 @@ class TestWarmupAdaptation:
     def test_adapt_warmup_is_deterministic(self):
         post = Posterior(ModelSpec("pairwise", "binary"), builtin_dataset("boucher2016_pairwise"))
         cfg = SamplerConfig(chains=1, iter=700, warmup=600, seed=9)
-        eps1, mass1 = adapt_warmup(post, cfg, chain_rng(cfg.seed, 0))
-        eps2, mass2 = adapt_warmup(post, cfg, chain_rng(cfg.seed, 0))
-        assert eps1 == eps2
-        np.testing.assert_array_equal(mass1, mass2)
+        (a,) = _run_stack(post.logp_and_grad, post.dim, cfg, [chain_rng(cfg.seed, 0)], cfg.warmup)
+        (b,) = _run_stack(post.logp_and_grad, post.dim, cfg, [chain_rng(cfg.seed, 0)], cfg.warmup)
+        assert a.eps == b.eps
+        np.testing.assert_array_equal(a.mass, b.mass)
 
     def test_short_warmup_falls_back_with_warning(self):
         cfg = SamplerConfig(chains=1, iter=200, warmup=100, seed=4)
