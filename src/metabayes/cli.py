@@ -479,6 +479,8 @@ def _load_fit_dir(fit_dir: Path) -> tuple[dict, PosteriorDraws, ModelSpec, Datas
         raise ConfigError(f"{summary_path} is not valid JSON: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"{summary_path} has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{summary_path}: {exc}") from None
     draws_path = fit_dir / "draws.csv"
     if not draws_path.exists():
         raise ConfigError(

@@ -129,22 +129,30 @@ def _dose_response_kernel(
         frac = dose / den
         # squared in place: one (B, len(dose)) array fewer at the peak
         return emax * frac, {"Emax": frac, "ED50": -emax * dose / np.square(den, out=den)}
-    # sigmoidal
+    # sigmoidal; each step writes into its operand's buffer (the same bits
+    # as the plain expressions), so a (draws, grid) call holds four arrays
     n = params["n"]
     pos = dose > 0
-    t = n * (np.log(dose[pos]) - _libm_log(ed50))
-    s = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))
-    shape = np.shape(t)[:-1] + dose.shape
-    frac = np.zeros(shape)
-    dfrac_dn = np.zeros(shape)
-    frac[..., pos] = s
-    dfrac_dn[..., pos] = s * (1.0 - s) * (t / n)
-    dfrac_ded50 = np.zeros(shape)
-    dfrac_ded50[..., pos] = -s * (1.0 - s) * n / ed50
-    return (
-        emax * frac,
-        {"Emax": frac, "ED50": emax * dfrac_ded50, "n": emax * dfrac_dn},
-    )
+    log_dose = np.zeros(dose.shape)
+    log_dose[pos] = np.log(dose[pos])
+    t = n * (log_dose - _libm_log(ed50))
+    s = np.clip(t, -700, 700)
+    np.exp(np.negative(s, out=s), out=s)
+    np.divide(1.0, np.add(s, 1.0, out=s), out=s)  # s = 1 / (1 + exp(-t))
+    ds = np.subtract(1.0, s)
+    ds *= s  # d s / d t = s (1 - s)
+    t /= n
+    t *= ds  # d s / d n = s (1 - s) t / n
+    ds *= n
+    ds /= ed50
+    np.negative(ds, out=ds)  # d s / d ED50 = -s (1 - s) n / ED50
+    for v in (s, t, ds):
+        np.copyto(v, 0.0, where=~pos)  # f(0) = 0
+    return emax * s, {
+        "Emax": s,
+        "ED50": np.multiply(emax, ds, out=ds),
+        "n": np.multiply(emax, t, out=t),
+    }
 
 
 # ---------------------------------------------------------------------------

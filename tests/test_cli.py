@@ -312,10 +312,23 @@ def _truncate_last_row(path):
     path.write_text(text[: text.rindex(",")])
 
 
+def _edit_summary(fit_dir, edit):
+    path = fit_dir / "summary.json"
+    summary = json.loads(path.read_text())
+    edit(summary)
+    path.write_text(json.dumps(summary))
+
+
 MALFORMED = {
     "draws_bad_header": lambda d: (d / "draws.csv").write_text("x,y\n1,2\n"),
     "draws_truncated": lambda d: _truncate_last_row(d / "draws.csv"),
     "summary_not_json": lambda d: (d / "summary.json").write_text("{not json"),
+    "summary_unknown_family": lambda d: _edit_summary(
+        d, lambda s: s["model"].update(family="foo")
+    ),
+    "summary_unknown_arm_field": lambda d: _edit_summary(
+        d, lambda s: s["data"]["arms"][0].update(foo=1)
+    ),
 }
 
 

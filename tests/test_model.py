@@ -69,6 +69,24 @@ class TestDoseResponse:
             b = dose_response_at("sigmoidal", {"Emax": emax, "ED50": ed50, "n": 1.0}, dose)
             assert abs(a - b) < 1e-12
 
+    def test_sigmoidal_columns_match_scalar_calls_and_vanish_at_placebo(self):
+        rng = np.random.default_rng(5)
+        params = {
+            "Emax": rng.uniform(-3, 3, (6, 1)),
+            "ED50": rng.uniform(0.1, 80, (6, 1)),
+            "n": rng.uniform(0.2, 5, (6, 1)),
+        }
+        dose = np.array([3.0, 0.0, 40.0, 0.0, 250.0])
+        f, partials = _dose_response_kernel(DoseResponse.SIGMOIDAL, params, dose)
+        for b in range(6):
+            row = {k: float(v[b, 0]) for k, v in params.items()}
+            f_b, partials_b = _dose_response_kernel(DoseResponse.SIGMOIDAL, row, dose)
+            assert f[b].tobytes() == f_b.tobytes()
+            assert all(partials[k][b].tobytes() == partials_b[k].tobytes() for k in params)
+        for out in (f, *partials.values()):
+            assert out.shape == (6, 5)
+            assert np.all(out[:, dose == 0] == 0)
+
 
 class TestSigmaGammaCholesky:
     def test_two_arm_factor_matches_hand_cholesky(self):

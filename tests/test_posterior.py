@@ -153,6 +153,15 @@ class TestGradients:
         assert not layout.has("u") and not layout.has("tau") and not layout.has("gamma")
         assert layout.dim == PAIRWISE.n_studies + 1
 
+    def test_finite_on_pairwise_data(self):
+        post = Posterior(ModelSpec("pairwise", "binary"), PAIRWISE)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            z = rng.normal(0, 2, PAIRWISE.n_studies + 2 + PAIRWISE.n_studies)
+            lp, grad = post.logp_and_grad(z)
+            assert math.isfinite(lp)
+            assert np.all(np.isfinite(grad))
+
     @pytest.mark.parametrize("label,spec,ds", all_spec_variants(), ids=lambda c: c if isinstance(c, str) else "")
     def test_finite_at_ordinary_points(self, label, spec, ds):
         """No NaN or overflow hides as a -inf rejection at ordinary points."""
